@@ -1,10 +1,10 @@
 """Command-line front end: simulate, verify-kernel, verify-geometry, report.
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 bad usage or
-invalid configuration.  Option precedence for seed/threads/output directory
-is flag > environment (WAVEKIN_SEED, WAVEKIN_THREADS, WAVEKIN_OUT) > config
-file > built-in default.  Outputs are deterministic: the same config and
-seed produce byte-identical series.csv files.
+invalid configuration.  Option precedence for seed and output directory is
+flag > environment (WAVEKIN_SEED, WAVEKIN_OUT) > config file > built-in
+default.  Outputs are deterministic: the same config and seed produce
+byte-identical series.csv files.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = ["main", "cmd_simulate", "cmd_verify_kernel", "cmd_verify_geometry",
            "cmd_report"]
 
 _ENV_SEED = "WAVEKIN_SEED"
-_ENV_THREADS = "WAVEKIN_THREADS"
 _ENV_OUT = "WAVEKIN_OUT"
 
 
@@ -86,12 +85,10 @@ def _load_cfg(path: Optional[str]) -> RunConfig:
     return load_config_file(path)
 
 
-def _effective(cfg: RunConfig, seed: int, threads: int, out_dir: str,
-               dump: bool) -> RunConfig:
+def _effective(cfg: RunConfig, seed: int, out_dir: str, dump: bool) -> RunConfig:
     return dataclasses.replace(
         cfg,
         seed=seed,
-        threads=threads,
         output=dataclasses.replace(cfg.output, dir=out_dir, dump_spectrum=dump),
     )
 
@@ -128,7 +125,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     table = build_kernel_table(
         kw, d, grid,
         max_bytes=int(cfg.kernel.max_table_mb * 2 ** 20),
-        cache_path=cfg.kernel.table_cache,
     )
     state0 = cfg.make_initial_state(d, grid)
     series = evolve(
@@ -239,7 +235,6 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
     """Check the geometric predictions against Monte Carlo estimates."""
     d = cfg.make_dispersion()
     seed = cfg.seed
-    batches = max(1, cfg.threads)
     results: List[Tuple[bool, str]] = []
 
     def sigma_check(name: str, predicted: float, mc: float, stderr: float,
@@ -255,7 +250,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
         pred = geom.cap_coverage_expectation(q, n_caps)
         mc, se = reference.cap_coverage_mc(q, n_caps, n_experiments=60,
                                            points_per_experiment=2000,
-                                           seed=seed, n_batches=batches)
+                                           seed=seed)
         sigma_check(f"cap coverage q={q:g} N={n_caps}", pred, mc, se)
     n44 = geom.least_covering_caps(0.1, miss_factor=0.1)
     ok44 = n44 == 44
@@ -265,8 +260,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
     # cone volumes vs Monte Carlo
     for R, rho in ((1.0, 0.0), (1.0, 0.4), (2.0, 1.5)):
         pred = geom.vcone(R, rho)
-        mc, se = reference.vcone_mc(R, rho, n_samples=400_000, seed=seed + 1,
-                                    n_batches=batches)
+        mc, se = reference.vcone_mc(R, rho, n_samples=400_000, seed=seed + 1)
         sigma_check(f"cone volume R={R:g} rho={rho:g}", pred, mc, se)
 
     # expanded radius fixed point check
@@ -315,7 +309,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
     got = geom.manifold_quadrature(m, lambda u: 1.0 + u)
     mc, se = reference.mollified_delta_mc(d2, k2, k3, lambda rr: 1.0 + rr,
                                           n_samples=4_000_000, seed=seed + 3,
-                                          n_batches=max(batches, 4))
+                                          n_batches=4)
     sigma_check("manifold quadrature vs mollified MC (alpha=1.5)", got, mc, se,
                 abs_floor=0.01 * abs(got))
 
@@ -398,8 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file (defaults apply if omitted)")
         p.add_argument("--out", help=f"output directory (env {_ENV_OUT})")
         p.add_argument("--seed", type=int, help=f"RNG seed (env {_ENV_SEED})")
-        p.add_argument("--threads", type=int,
-                       help=f"worker count for Monte Carlo batching (env {_ENV_THREADS})")
         if with_dump:
             p.add_argument("--dump-spectrum", action="store_true", default=None,
                            help="append per-node g columns to series.csv")
@@ -432,18 +424,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed = _resolve_int(args.seed, _ENV_SEED, cfg.seed)
         if not 0 <= seed < 2 ** 64:
             raise ConfigError("--seed", "must fit in an unsigned 64-bit integer")
-        threads = _resolve_int(args.threads, _ENV_THREADS, cfg.threads)
-        if threads < 1:
-            raise ConfigError("--threads", f"must be >= 1, got {threads}")
 
         if args.command == "simulate":
             dump = cfg.output.dump_spectrum if args.dump_spectrum is None else True
             out_dir = _resolve_out(args.out, cfg, seed)
-            cfg = _effective(cfg, seed, threads, out_dir, dump)
+            cfg = _effective(cfg, seed, out_dir, dump)
             return cmd_simulate(cfg, out_dir)
 
         out_dir = args.out if args.out is not None else os.environ.get(_ENV_OUT)
-        cfg = dataclasses.replace(cfg, seed=seed, threads=threads)
+        cfg = dataclasses.replace(cfg, seed=seed)
         if args.command == "verify-kernel":
             return cmd_verify_kernel(cfg, out_dir)
         if args.command == "verify-geometry":

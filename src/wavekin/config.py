@@ -1,9 +1,11 @@
 """Run configuration: parsing, validation, and construction of run objects.
 
 Configs are YAML documents with fixed blocks (dispersion, grid, kernel,
-initial, integrator, diagnostics, output) plus scalar ``seed`` and
-``threads``.  Parsing is strict: unknown keys, duplicate keys, type
-mismatches, and out-of-range values are all reported with the offending key
+initial, integrator, diagnostics, output) plus a scalar ``seed``.  The block
+dataclasses below are the schema: each field's name, type and default is the
+key's only declaration, and one walker checks a document against them.
+Parsing is strict: unknown keys, duplicate keys, type mismatches, and
+out-of-range values (see ``_RANGES``) are all reported with the offending key
 and line.  Every field has a default, so the empty document is a valid
 config.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -65,7 +67,6 @@ class KernelBlock:
     c_q: float = DEFAULT_C_Q
     cutoff_n: Optional[float] = None  # None means no truncation
     max_table_mb: float = 512.0
-    table_cache: Optional[str] = None
     oracle: OracleBlock = field(default_factory=OracleBlock)
 
 
@@ -112,7 +113,6 @@ class RunConfig:
     diagnostics: DiagnosticsBlock = field(default_factory=DiagnosticsBlock)
     output: OutputBlock = field(default_factory=OutputBlock)
     seed: int = 0
-    threads: int = 1
 
     # --- constructors for the run objects ---
 
@@ -149,14 +149,49 @@ class RunConfig:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        out = asdict(self)
-        # inf is not valid YAML 1.1 across loaders; echo it as the string 'inf'
-        if out["kernel"]["cutoff_n"] is None:
-            out["kernel"]["cutoff_n"] = None
-        out["diagnostics"]["band_radii"] = list(self.diagnostics.band_radii)
-        out["diagnostics"]["deltas"] = list(self.diagnostics.deltas)
-        out["diagnostics"]["test_functions"] = list(self.diagnostics.test_functions)
-        return out
+        """Plain nested dict for YAML output; tuples become lists."""
+        def plain(x):
+            if isinstance(x, dict):
+                return {k: plain(v) for k, v in x.items()}
+            return list(x) if isinstance(x, tuple) else x
+        return plain(asdict(self))
+
+
+# Value checks by dotted key, applied after type coercion to values that are
+# not None.  A message may use {v}, the offending value.
+_RANGES = {
+    "dispersion.kind": (
+        lambda v: v == "power_law",
+        "only 'power_law' is configurable (got {v!r}); custom dispersions "
+        "are a library-level feature"),
+    "dispersion.alpha": (
+        lambda v: 1.0 < v <= 2.0,
+        "must lie in (1, 2], got {v:g}: growth outside that range is not "
+        "covered by the supported dispersion class"),
+    "grid.n_nodes": (lambda v: v >= 2, "must be >= 2, got {v}"),
+    "grid.omega_max": (lambda v: v > 0, "must be positive, got {v:g}"),
+    "kernel.c_q": (lambda v: v > 0, "must be positive, got {v:g}"),
+    "kernel.cutoff_n": (lambda v: v > 1.0, "must exceed 1, got {v:g}"),
+    "kernel.max_table_mb": (lambda v: v > 0, "must be positive, got {v:g}"),
+    "kernel.oracle.tail_cut": (lambda v: v >= 100.0, "must be >= 100, got {v:g}"),
+    "kernel.oracle.tol": (lambda v: v > 0, "must be positive"),
+    "initial.preset": (lambda v: v in ("gaussian_bump", "ring", "file"),
+                       "unknown preset {v!r} (gaussian_bump, ring, file)"),
+    "initial.width": (lambda v: v > 0, "must be positive, got {v:g}"),
+    "initial.amplitude": (lambda v: v >= 0, "must be nonnegative"),
+    "integrator.t_end": (lambda v: v >= 0, "must be nonnegative, got {v:g}"),
+    "integrator.output_every": (lambda v: v >= 0, "must be nonnegative"),
+    "integrator.dt0": (lambda v: v > 0, "must be positive"),
+    "integrator.safety": (lambda v: 0 < v <= 1.0, "must lie in (0, 1], got {v:g}"),
+    "integrator.max_steps": (lambda v: v >= 1, "must be >= 1"),
+    "integrator.method": (lambda v: v in ("rk4", "euler"),
+                          "must be rk4 or euler, got {v!r}"),
+    "diagnostics.band_radii": (lambda v: all(x > 0 for x in v),
+                               "radii must be positive"),
+    "diagnostics.deltas": (lambda v: all(x >= 0 for x in v), "must be nonnegative"),
+    "seed": (lambda v: 0 <= v <= 2 ** 64 - 1,
+             "must fit in an unsigned 64-bit integer"),
+}
 
 
 # --- YAML parsing with line tracking -----------------------------------------
@@ -191,28 +226,70 @@ def _compose_lines(text: str) -> Dict[str, int]:
     return lines
 
 
-def _require(mapping: Dict, allowed: Dict[str, type], block: str,
-             lines: Dict[str, int]) -> None:
-    for key in mapping:
-        path = f"{block}.{key}" if block else key
-        if key not in allowed:
+def _scalar(tp: type, value: Any, path: str, line: Optional[int]) -> Any:
+    """Coerce one YAML scalar to bool, str, int or float, or raise."""
+    if tp is bool:
+        if isinstance(value, bool):
+            return value
+        expected = "true/false"
+    elif tp is str:
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        expected = "a number"
+    elif tp is float:
+        return float(value)
+    elif isinstance(value, int) or value.is_integer():
+        return int(value)
+    else:
+        expected = "an integer"
+    raise ConfigError(path, f"expected {expected}, got {value!r}", line)
+
+
+def _coerce(tp: Any, value: Any, path: str, lines: Dict[str, int]) -> Any:
+    """Check one value against a field type: block, Optional, tuple or scalar."""
+    line = lines.get(path)
+    if is_dataclass(tp):
+        if value is None:
+            value = {}
+        if not isinstance(value, dict):
+            raise ConfigError(path, "expected a mapping", line)
+        return _parse_block(tp, value, path, lines)
+    if get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return None
+        return _coerce(get_args(tp)[0], value, path, lines)
+    if get_origin(tp) is tuple:  # Tuple[X, ...]
+        if value is None:
+            return ()
+        if not isinstance(value, list):
+            raise ConfigError(path, "expected a list", line)
+        return tuple(_scalar(get_args(tp)[0], v, path, line) for v in value)
+    return _scalar(tp, value, path, line)
+
+
+def _parse_block(cls: type, data: Dict, prefix: str, lines: Dict[str, int]) -> Any:
+    """Build dataclass ``cls`` from a mapping; absent keys keep their defaults."""
+    hints = get_type_hints(cls)
+    for key in data:
+        if key not in hints:
+            path = f"{prefix}.{key}" if prefix else str(key)
             raise ConfigError(
-                path, f"unknown key (allowed: {', '.join(sorted(allowed))})",
+                path, f"unknown key (allowed: {', '.join(sorted(hints))})",
                 lines.get(path),
             )
-
-
-def _num(value, path: str, lines: Dict[str, int], *,
-         integer: bool = False, allow_none: bool = False):
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}", lines.get(path))
-    if integer:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(path, f"expected an integer, got {value!r}", lines.get(path))
-        return int(value)
-    return float(value)
+    values = {}
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        path = f"{prefix}.{f.name}" if prefix else f.name
+        value = _coerce(hints[f.name], data[f.name], path, lines)
+        check = _RANGES.get(path)
+        if check is not None and value is not None and not check[0](value):
+            raise ConfigError(path, check[1].format(v=value), lines.get(path))
+        values[f.name] = value
+    return cls(**values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -228,217 +305,18 @@ def parse_config(text: str) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("<document>", "top level must be a mapping", 1)
+    cfg = _parse_block(RunConfig, data, "", lines)
 
-    top_allowed = {
-        "dispersion": dict, "grid": dict, "kernel": dict, "initial": dict,
-        "integrator": dict, "diagnostics": dict, "output": dict,
-        "seed": int, "threads": int,
-    }
-    _require(data, top_allowed, "", lines)
-
-    def block(name: str) -> Dict:
-        value = data.get(name, {})
-        if value is None:
-            value = {}
-        if not isinstance(value, dict):
-            raise ConfigError(name, "expected a mapping", lines.get(name))
-        return value
-
-    # dispersion
-    disp = block("dispersion")
-    _require(disp, {"kind": str, "alpha": float}, "dispersion", lines)
-    kind = disp.get("kind", "power_law")
-    if kind != "power_law":
-        raise ConfigError(
-            "dispersion.kind",
-            f"only 'power_law' is configurable (got {kind!r}); custom "
-            "dispersions are a library-level feature",
-            lines.get("dispersion.kind"),
-        )
-    alpha = _num(disp.get("alpha", 2.0), "dispersion.alpha", lines)
-    if not 1.0 < alpha <= 2.0:
-        raise ConfigError(
-            "dispersion.alpha",
-            f"must lie in (1, 2], got {alpha:g}: growth outside that range is "
-            "not covered by the supported dispersion class",
-            lines.get("dispersion.alpha"),
-        )
-
-    # grid
-    grd = block("grid")
-    _require(grd, {"n_nodes": int, "omega_max": float}, "grid", lines)
-    n_nodes = _num(grd.get("n_nodes", 64), "grid.n_nodes", lines, integer=True)
-    if n_nodes < 2:
-        raise ConfigError("grid.n_nodes", f"must be >= 2, got {n_nodes}",
-                          lines.get("grid.n_nodes"))
-    omega_max = _num(grd.get("omega_max", 4.0), "grid.omega_max", lines)
-    if not omega_max > 0:
-        raise ConfigError("grid.omega_max", f"must be positive, got {omega_max:g}",
-                          lines.get("grid.omega_max"))
-
-    # kernel
-    ker = block("kernel")
-    _require(ker, {"c_q": float, "cutoff_n": float, "max_table_mb": float,
-                   "table_cache": str, "oracle": dict}, "kernel", lines)
-    c_q = _num(ker.get("c_q", DEFAULT_C_Q), "kernel.c_q", lines)
-    if not c_q > 0:
-        raise ConfigError("kernel.c_q", f"must be positive, got {c_q:g}",
-                          lines.get("kernel.c_q"))
-    cutoff_n = _num(ker.get("cutoff_n"), "kernel.cutoff_n", lines, allow_none=True)
-    if cutoff_n is not None and not cutoff_n > 1.0:
-        raise ConfigError("kernel.cutoff_n", f"must exceed 1, got {cutoff_n:g}",
-                          lines.get("kernel.cutoff_n"))
-    max_table_mb = _num(ker.get("max_table_mb", 512.0), "kernel.max_table_mb", lines)
-    table_cache = ker.get("table_cache")
-    if table_cache is not None and not isinstance(table_cache, str):
-        raise ConfigError("kernel.table_cache", "expected a path string",
-                          lines.get("kernel.table_cache"))
-    orc = ker.get("oracle", {}) or {}
-    if not isinstance(orc, dict):
-        raise ConfigError("kernel.oracle", "expected a mapping", lines.get("kernel.oracle"))
-    _require(orc, {"tail_cut": float, "tol": float}, "kernel.oracle", lines)
-    tail_cut = _num(orc.get("tail_cut", 1e4), "kernel.oracle.tail_cut", lines)
-    if tail_cut < 100.0:
-        raise ConfigError("kernel.oracle.tail_cut", f"must be >= 100, got {tail_cut:g}",
-                          lines.get("kernel.oracle.tail_cut"))
-    tol = _num(orc.get("tol", 1e-3), "kernel.oracle.tol", lines)
-    if not tol > 0:
-        raise ConfigError("kernel.oracle.tol", "must be positive",
-                          lines.get("kernel.oracle.tol"))
-
-    # initial
-    ini = block("initial")
-    _require(ini, {"preset": str, "center": float, "width": float,
-                   "amplitude": float, "r_center": float, "path": str},
-             "initial", lines)
-    preset = ini.get("preset", "gaussian_bump")
-    if preset not in ("gaussian_bump", "ring", "file"):
-        raise ConfigError("initial.preset",
-                          f"unknown preset {preset!r} (gaussian_bump, ring, file)",
-                          lines.get("initial.preset"))
-    if preset == "file" and not isinstance(ini.get("path"), str):
+    # rules that span keys or defer to another module
+    if cfg.initial.preset == "file" and cfg.initial.path is None:
         raise ConfigError("initial.path", "file preset needs a path",
                           lines.get("initial.path") or lines.get("initial.preset"))
-    amplitude = _num(ini.get("amplitude", 1.0), "initial.amplitude", lines)
-    if amplitude < 0:
-        raise ConfigError("initial.amplitude", "must be nonnegative",
-                          lines.get("initial.amplitude"))
-    width = _num(ini.get("width"), "initial.width", lines, allow_none=True)
-    if width is not None and not width > 0:
-        raise ConfigError("initial.width", f"must be positive, got {width:g}",
-                          lines.get("initial.width"))
-
-    # integrator
-    intg = block("integrator")
-    _require(intg, {"t_end": float, "output_every": float, "dt0": float,
-                    "safety": float, "max_steps": int, "method": str},
-             "integrator", lines)
-    t_end = _num(intg.get("t_end", 1.0), "integrator.t_end", lines)
-    if t_end < 0:
-        raise ConfigError("integrator.t_end", f"must be nonnegative, got {t_end:g}",
-                          lines.get("integrator.t_end"))
-    output_every = _num(intg.get("output_every", 0.0), "integrator.output_every", lines)
-    if output_every < 0:
-        raise ConfigError("integrator.output_every", "must be nonnegative",
-                          lines.get("integrator.output_every"))
-    dt0 = _num(intg.get("dt0"), "integrator.dt0", lines, allow_none=True)
-    if dt0 is not None and not dt0 > 0:
-        raise ConfigError("integrator.dt0", "must be positive",
-                          lines.get("integrator.dt0"))
-    safety = _num(intg.get("safety", 0.2), "integrator.safety", lines)
-    if not 0 < safety <= 1.0:
-        raise ConfigError("integrator.safety", f"must lie in (0, 1], got {safety:g}",
-                          lines.get("integrator.safety"))
-    max_steps = _num(intg.get("max_steps"), "integrator.max_steps", lines,
-                     integer=True, allow_none=True)
-    if max_steps is not None and max_steps < 1:
-        raise ConfigError("integrator.max_steps", "must be >= 1",
-                          lines.get("integrator.max_steps"))
-    method = intg.get("method", "rk4")
-    if method not in ("rk4", "euler"):
-        raise ConfigError("integrator.method", f"must be rk4 or euler, got {method!r}",
-                          lines.get("integrator.method"))
-
-    # diagnostics
-    dia = block("diagnostics")
-    _require(dia, {"band_radii": list, "deltas": list, "test_functions": list},
-             "diagnostics", lines)
-
-    def float_list(key: str) -> Tuple[float, ...]:
-        raw = dia.get(key, [])
-        if raw is None:
-            return ()
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"diagnostics.{key}", "expected a list",
-                              lines.get(f"diagnostics.{key}"))
-        out = []
-        for v in raw:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"diagnostics.{key}", f"expected numbers, got {v!r}",
-                                  lines.get(f"diagnostics.{key}"))
-            out.append(float(v))
-        return tuple(out)
-
-    band_radii = float_list("band_radii")
-    if any(R <= 0 for R in band_radii):
-        raise ConfigError("diagnostics.band_radii", "radii must be positive",
-                          lines.get("diagnostics.band_radii"))
-    deltas = float_list("deltas")
-    if any(x < 0 for x in deltas):
-        raise ConfigError("diagnostics.deltas", "must be nonnegative",
-                          lines.get("diagnostics.deltas"))
-    tf_raw = dia.get("test_functions", []) or []
-    if not isinstance(tf_raw, (list, tuple)):
-        raise ConfigError("diagnostics.test_functions", "expected a list",
-                          lines.get("diagnostics.test_functions"))
-    test_functions = tuple(str(t) for t in tf_raw)
     try:
-        test_function_registry(test_functions)
+        test_function_registry(cfg.diagnostics.test_functions)
     except ValueError as exc:
         raise ConfigError("diagnostics.test_functions", str(exc),
                           lines.get("diagnostics.test_functions")) from exc
-
-    # output
-    out = block("output")
-    _require(out, {"dir": str, "dump_spectrum": bool}, "output", lines)
-    out_dir = out.get("dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("output.dir", "expected a path string", lines.get("output.dir"))
-    dump = out.get("dump_spectrum", False)
-    if not isinstance(dump, bool):
-        raise ConfigError("output.dump_spectrum", f"expected true/false, got {dump!r}",
-                          lines.get("output.dump_spectrum"))
-
-    seed = _num(data.get("seed", 0), "seed", lines, integer=True)
-    if seed < 0 or seed > 2 ** 64 - 1:
-        raise ConfigError("seed", "must fit in an unsigned 64-bit integer",
-                          lines.get("seed"))
-    threads = _num(data.get("threads", 1), "threads", lines, integer=True)
-    if threads < 1:
-        raise ConfigError("threads", f"must be >= 1, got {threads}", lines.get("threads"))
-
-    return RunConfig(
-        dispersion=DispersionBlock(kind=kind, alpha=alpha),
-        grid=GridBlock(n_nodes=n_nodes, omega_max=omega_max),
-        kernel=KernelBlock(c_q=c_q, cutoff_n=cutoff_n, max_table_mb=max_table_mb,
-                           table_cache=table_cache,
-                           oracle=OracleBlock(tail_cut=tail_cut, tol=tol)),
-        initial=InitialBlock(
-            preset=preset,
-            center=_num(ini.get("center"), "initial.center", lines, allow_none=True),
-            width=width,
-            amplitude=amplitude,
-            r_center=_num(ini.get("r_center"), "initial.r_center", lines, allow_none=True),
-            path=ini.get("path"),
-        ),
-        integrator=IntegratorBlock(t_end=t_end, output_every=output_every, dt0=dt0,
-                                   safety=safety, max_steps=max_steps, method=method),
-        diagnostics=DiagnosticsBlock(band_radii=band_radii, deltas=deltas,
-                                     test_functions=test_functions),
-        output=OutputBlock(dir=out_dir, dump_spectrum=dump),
-        seed=seed,
-        threads=threads,
-    )
+    return cfg
 
 
 def load_config_file(path: str) -> RunConfig:

@@ -17,6 +17,8 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
+from wavekin import solver as _solver
+
 __all__ = [
     "DiagnosticsConfig",
     "DiagnosticsRecord",
@@ -104,10 +106,8 @@ def convex_production(table, state, phi: Callable, check_convexity: bool = True)
     the bracket vanishes node by node.  Non-convex phi is rejected so that a
     negative return can only ever mean a broken kernel table.
     """
+    _solver._check_same_grid(table, state)
     grid = table.grid
-    if state.grid is not grid and (state.grid.n_nodes != grid.n_nodes
-                                   or state.grid.h != grid.h):
-        raise ValueError("state and table grids differ")
     phi_vals = np.asarray(phi(grid.omega), dtype=float)
     if phi_vals.shape != grid.omega.shape:
         raise ValueError("phi must map the frequency grid to one value per node")

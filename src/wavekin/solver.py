@@ -20,7 +20,6 @@ operator survives discretization as well.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,8 +35,6 @@ __all__ = [
     "SpectrumState",
     "KernelTable",
     "build_kernel_table",
-    "save_table",
-    "load_table",
     "rhs",
     "rhs_with_scale",
     "step",
@@ -51,9 +48,6 @@ __all__ = [
     "ConservationError",
     "MemoryBudgetError",
 ]
-
-_TABLE_FORMAT_VERSION = 1
-
 
 class StiffnessError(RuntimeError):
     """Step-size halving exhausted without restoring nonnegativity."""
@@ -124,22 +118,6 @@ class OmegaGrid:
     @property
     def omega_max(self) -> float:
         return float(self.omega[-1])
-
-    def describe_key(self, kw: Optional[KernelWeights] = None) -> str:
-        """Stable identity string for cache keying."""
-        d = self.d
-        probes = [eval_omega(d, x) for x in (0.5, 1.0, 2.0, 3.7)]
-        parts = [
-            f"v{_TABLE_FORMAT_VERSION}", d.kind,
-            float(d.alpha).hex(), float(d.alpha_prime).hex(),
-            float(d.c_omega_lower).hex(), float(d.c_omega_upper).hex(),
-            float(d.c_mho).hex(), float(d.iota).hex(),
-            *[float(p).hex() for p in probes],
-            str(self.n_nodes), float(self.h).hex(),
-        ]
-        if kw is not None:
-            parts += [float(kw.c_q).hex(), repr(kw.cutoff_n)]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
 @dataclass(eq=False)
@@ -219,7 +197,6 @@ def build_kernel_table(
     d: DispersionRelation,
     grid: OmegaGrid,
     max_bytes: int = 512 * 2 ** 20,
-    cache_path: Optional[str] = None,
 ) -> KernelTable:
     """Enumerate admissible interaction triples and their kernel weights.
 
@@ -237,11 +214,6 @@ def build_kernel_table(
             if not math.isclose(eval_omega(grid.d, probe), eval_omega(d, probe),
                                 rel_tol=1e-12):
                 raise ValueError("grid was built with a different dispersion")
-
-    if cache_path is not None:
-        cached = load_table(cache_path, grid, kw, missing_ok=True)
-        if cached is not None:
-            return cached
 
     n = grid.n_nodes
     r = grid.r
@@ -306,59 +278,23 @@ def build_kernel_table(
                         w=ww, mult=mu, coef=coef)
     for arr in (ii, jj, ll, mm, ww, mu, coef):
         arr.flags.writeable = False
-    if cache_path is not None:
-        save_table(cache_path, table)
-    return table
-
-
-def save_table(path: str, table: KernelTable) -> None:
-    """Dump a kernel table, keyed by grid/dispersion/cutoff identity."""
-    np.savez_compressed(
-        path,
-        version=np.int64(_TABLE_FORMAT_VERSION),
-        key=np.frombuffer(bytes.fromhex(table.grid.describe_key(table.kw)), dtype=np.uint8),
-        i=table.i, j=table.j, l=table.l, m=table.m,
-        w=table.w, mult=table.mult,
-    )
-
-
-def load_table(
-    path: str,
-    grid: OmegaGrid,
-    kw: KernelWeights,
-    missing_ok: bool = False,
-) -> Optional[KernelTable]:
-    """Load a cached table; returns None on a key mismatch or missing file."""
-    import os
-
-    if not os.path.exists(path):
-        if missing_ok:
-            return None
-        raise FileNotFoundError(path)
-    with np.load(path) as data:
-        if int(data["version"]) != _TABLE_FORMAT_VERSION:
-            return None
-        key = bytes(data["key"]).hex()
-        if key != grid.describe_key(kw):
-            return None
-        ww = data["w"]
-        mu = data["mult"]
-        table = KernelTable(
-            grid=grid, kw=kw,
-            i=data["i"], j=data["j"], l=data["l"], m=data["m"],
-            w=ww, mult=mu, coef=ww * mu * grid.h ** 2,
-        )
     return table
 
 
 def _check_same_grid(table: KernelTable, state: SpectrumState) -> None:
-    if state.grid is not table.grid:
-        g1, g2 = state.grid, table.grid
-        if g1.n_nodes != g2.n_nodes or g1.h != g2.h:
-            raise ValueError(
-                "state and kernel table live on different grids "
-                f"({g1.n_nodes} nodes, h={g1.h:g} vs {g2.n_nodes}, h={g2.h:g})"
-            )
+    """Reject a state whose grid differs from the table's in nodes or radii.
+
+    Equal radii on equal nodes mean an equal dispersion on the grid, so an
+    equal-valued grid object is accepted.
+    """
+    g1, g2 = state.grid, table.grid
+    if g1 is not g2 and (g1.n_nodes != g2.n_nodes or g1.h != g2.h
+                         or not np.array_equal(g1.r, g2.r)):
+        raise ValueError(
+            "state and kernel table live on different grids "
+            f"({g1.n_nodes} nodes, h={g1.h:g}, alpha={g1.d.alpha:g} vs "
+            f"{g2.n_nodes}, h={g2.h:g}, alpha={g2.d.alpha:g})"
+        )
 
 
 def _rhs_of_g(table: KernelTable, g: np.ndarray) -> np.ndarray:
@@ -448,7 +384,8 @@ def evolve(
     at most ~safety per step.  ``max_dt`` caps the step on top of that.
     Diagnostics are recorded at t=0, every ``output_every`` time units (every
     accepted step if 0), and at the end.  Returns a list of (state, record)
-    pairs.
+    pairs.  Raises ConservationError if mass or energy drifts by more than
+    1e-10 relative between the first and last record.
     """
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -466,8 +403,6 @@ def evolve(
     if t_end == 0.0:
         return out
 
-    h = table.grid.h
-    mass0 = float(np.sum(state0.g) * h)
     target = state0.time + t_end
     next_output = state0.time + output_every if output_every > 0.0 else None
 
@@ -501,12 +436,14 @@ def evolve(
     if out[-1][0] is not state:
         out.append((state, record(state)))
 
-    mass_final = float(np.sum(state.g) * h)
-    drift = abs(mass_final - mass0) / max(mass0, 1e-300)
-    if drift > 1e-10:
-        raise ConservationError(
-            f"mass drifted by {drift:.3e} relative over the run (tolerance 1e-10)"
-        )
+    first, last = out[0][1], out[-1][1]
+    for name, q0, q1 in (("mass", first.mass, last.mass),
+                         ("energy", first.energy, last.energy)):
+        drift = abs(q1 - q0) / max(q0, 1e-300)
+        if drift > 1e-10:
+            raise ConservationError(
+                f"{name} drifted by {drift:.3e} relative over the run (tolerance 1e-10)"
+            )
     return out
 
 

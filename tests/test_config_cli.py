@@ -5,8 +5,10 @@ flag > environment > file > default precedence chain, and byte-identical
 reruns of simulate for a fixed (config, seed).
 """
 
+import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,6 @@ class TestParseConfig:
         assert cfg.grid.n_nodes == 64
         assert cfg.grid.omega_max == 4.0
         assert cfg.seed == 0
-        assert cfg.threads == 1
         assert cfg.integrator.method == "rk4"
 
     def test_round_trip_through_to_dict(self):
@@ -98,6 +99,49 @@ class TestParseConfig:
             parse_config(f"seed: {2 ** 64}\n")
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed: -1\n")
+
+    def test_nonpositive_table_budget_reports_line(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("grid:\n  n_nodes: 8\nkernel:\n  max_table_mb: -5\n")
+        msg = str(exc.value)
+        assert "line 4" in msg and "max_table_mb" in msg and "positive" in msg
+
+    @pytest.mark.parametrize("text, line", [
+        ("kernel:\n  c_q: 1.0\n  table_cache: t.npz\n", 3),
+        ("seed: 1\nthreads: 2\n", 2),
+    ])
+    def test_removed_keys_are_unknown(self, text, line):
+        with pytest.raises(ConfigError, match=f"line {line}, .*unknown key"):
+            parse_config(text)
+
+    def test_type_rules_follow_the_schema(self):
+        for text, key in (("output:\n  dump_spectrum: 1\n", "dump_spectrum"),
+                          ("output:\n  dir: 5\n", "output.dir"),
+                          ("integrator:\n  max_steps: 2.5\n", "max_steps"),
+                          ("diagnostics:\n  deltas: 0.5\n", "deltas"),
+                          ("diagnostics:\n  deltas: [a]\n", "deltas"),
+                          ("kernel:\n  oracle: 3\n", "oracle")):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(text)
+        cfg = parse_config("integrator:\n  max_steps: 4.0\n  dt0: 1\n"
+                           "diagnostics:\n  deltas: [1, 0.5]\n")
+        assert cfg.integrator.max_steps == 4 and type(cfg.integrator.max_steps) is int
+        assert type(cfg.integrator.dt0) is float
+        assert cfg.diagnostics.deltas == (1.0, 0.5)
+
+    def test_readme_table_lists_exactly_the_schema_keys(self):
+        def dotted(cls, prefix=""):
+            for f in dataclasses.fields(cls):
+                path = prefix + f.name
+                if dataclasses.is_dataclass(f.default_factory):
+                    yield from dotted(f.default_factory, path + ".")
+                else:
+                    yield path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration reference", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+        assert sorted(listed) == sorted(dotted(RunConfig))
 
     def test_factories_build_consistent_objects(self):
         cfg = parse_config(MINI_YAML)
@@ -220,14 +264,16 @@ class TestPrecedence:
         finally:
             del os.environ["WAVEKIN_SEED"]
 
-    def test_threads_env(self, run_dir):
+    def test_stale_threads_env_is_ignored(self, run_dir):
+        # the thread-count knob is gone; a value left in the environment
+        # must neither be rejected nor show up in the effective config
         tmp_path, cfg_path = run_dir
-        os.environ["WAVEKIN_THREADS"] = "3"
+        os.environ["WAVEKIN_THREADS"] = "not-a-number"
         try:
             out = tmp_path / "t"
             assert _simulate(cfg_path, out) == 0
             eff = yaml.safe_load((out / "effective_config.yaml").read_text())
-            assert eff["threads"] == 3
+            assert "threads" not in eff
         finally:
             del os.environ["WAVEKIN_THREADS"]
 

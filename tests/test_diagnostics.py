@@ -28,7 +28,7 @@ from wavekin.diagnostics import (
     smoothed_low_pass,
 )
 from wavekin.diagnostics import test_function_registry as registry
-from wavekin.solver import OmegaGrid, SpectrumState, rhs
+from wavekin.solver import OmegaGrid, SpectrumState, gaussian_bump, rhs
 
 
 class TestScalars:
@@ -88,8 +88,11 @@ class TestConvexProduction:
             quadratic_test(),
             shifted_ramp(1.5),
         ]
-        for _ in range(5):
-            s = random_state(table.grid, rng)
+        # concentrated bumps pin the per-entry formula: h * <phi, rhs> on
+        # them dips below -1e-10 of the scale through cancellation
+        states = [random_state(table.grid, rng) for _ in range(5)]
+        states += [gaussian_bump(table.grid, c, 0.3, 1.0) for c in (1.0, 4.0, 6.0)]
+        for s in states:
             for phi in phis:
                 prod = convex_production(table, s, phi)
                 scale = production_scale(table, s, phi)

@@ -12,9 +12,11 @@ import pytest
 
 from conftest import random_state
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
+from wavekin.diagnostics import convex_production, quadratic_test
 from wavekin.dispersion import DispersionRelation, eval_omega
 from wavekin.solver import (
     ConservationError,
+    KernelTable,
     MemoryBudgetError,
     OmegaGrid,
     SpectrumState,
@@ -22,11 +24,9 @@ from wavekin.solver import (
     build_kernel_table,
     evolve,
     gaussian_bump,
-    load_table,
     rhs,
     rhs_with_scale,
     ring_in_r,
-    save_table,
     state_from_file,
     step,
     transform_f_to_g,
@@ -64,15 +64,6 @@ class TestOmegaGrid:
             OmegaGrid(d_quad, 8, 0.0)
         with pytest.raises(ValueError):
             OmegaGrid.from_spacing(d_quad, 8, -0.1)
-
-    def test_describe_key_tracks_identity(self, d_quad, d_mid):
-        g1 = OmegaGrid(d_quad, 8, 7.0)
-        g2 = OmegaGrid(d_quad, 8, 7.0)
-        assert g1.describe_key() == g2.describe_key()
-        assert g1.describe_key() != OmegaGrid(d_quad, 9, 7.0).describe_key()
-        assert g1.describe_key() != OmegaGrid(d_mid, 8, 7.0).describe_key()
-        kw = KernelWeights()
-        assert g1.describe_key(kw) != g1.describe_key(KernelWeights(c_q=1.0))
 
 
 class TestSpectrumState:
@@ -156,31 +147,6 @@ class TestKernelTable:
         with pytest.raises(MemoryBudgetError, match="budget"):
             build_kernel_table(KernelWeights(), d_quad, grid32_quad, max_bytes=64)
 
-    def test_cache_round_trip(self, tmp_path, d_mid, grid8_mid, table8_mid):
-        path = str(tmp_path / "table.npz")
-        save_table(path, table8_mid)
-        loaded = load_table(path, grid8_mid, table8_mid.kw)
-        assert loaded is not None
-        for name in ("i", "j", "l", "m", "w", "mult", "coef"):
-            assert np.array_equal(getattr(loaded, name), getattr(table8_mid, name))
-
-    def test_cache_key_mismatch_returns_none(self, tmp_path, d_mid, grid8_mid, table8_mid):
-        path = str(tmp_path / "table.npz")
-        save_table(path, table8_mid)
-        assert load_table(path, grid8_mid, KernelWeights(c_q=1.0)) is None
-
-    def test_cache_missing_file(self, tmp_path, grid8_mid, table8_mid):
-        path = str(tmp_path / "absent.npz")
-        with pytest.raises(FileNotFoundError):
-            load_table(path, grid8_mid, table8_mid.kw)
-        assert load_table(path, grid8_mid, table8_mid.kw, missing_ok=True) is None
-
-    def test_build_uses_cache(self, tmp_path, d_mid, grid8_mid):
-        path = str(tmp_path / "table.npz")
-        first = build_kernel_table(KernelWeights(), d_mid, grid8_mid, cache_path=path)
-        again = build_kernel_table(KernelWeights(), d_mid, grid8_mid, cache_path=path)
-        assert np.array_equal(first.w, again.w)
-
 
 def _rhs_brute_force(grid, kw, g):
     """Undeduplicated oracle: loop over every ordered integration triple."""
@@ -234,11 +200,15 @@ class TestRhs:
         s = SpectrumState(g=np.zeros(8), time=0.0, grid=grid8_quad)
         assert np.array_equal(rhs(table8_quad, s), np.zeros(8))
 
-    def test_grid_mismatch_rejected(self, table8_quad, d_quad):
-        other = OmegaGrid(d_quad, 12, 7.0)
-        s = SpectrumState(g=np.zeros(12), time=0.0, grid=other)
-        with pytest.raises(ValueError, match="different grids"):
-            rhs(table8_quad, s)
+    def test_grid_mismatch_rejected(self, table8_quad, d_quad, d_mid):
+        # other node count; same nodes and spacing under another dispersion
+        for other in (OmegaGrid(d_quad, 12, 7.0), OmegaGrid(d_mid, 8, 7.0)):
+            s = SpectrumState(g=np.ones(other.n_nodes), time=0.0, grid=other)
+            for use in (lambda: rhs(table8_quad, s),
+                        lambda: evolve(table8_quad, s, t_end=1.0),
+                        lambda: convex_production(table8_quad, s, quadratic_test())):
+                with pytest.raises(ValueError, match="different grids"):
+                    use()
 
     def test_equal_valued_grid_accepted(self, table8_quad, d_quad):
         # a distinct grid object with identical nodes is fine
@@ -406,6 +376,19 @@ class TestEvolve:
         out = evolve(table32_quad, s, t_end=5e-4, max_dt=1e-4)
         times = np.array([st.time for st, _ in out])
         assert np.all(np.diff(times) <= 1e-4 * (1.0 + 1e-9))
+
+    def test_energy_breach_raises(self, table32_quad, grid32_quad):
+        # shifting every fourth index down by one keeps each deposit's
+        # (-rho, -rho, +rho, +rho) stencil, so mass is still conserved, but
+        # the frequencies no longer balance, so energy is not
+        t = table32_quad
+        keep = t.m >= 2
+        broken = KernelTable(
+            grid=t.grid, kw=t.kw, i=t.i[keep], j=t.j[keep], l=t.l[keep],
+            m=t.m[keep] - 1, w=t.w[keep], mult=t.mult[keep], coef=t.coef[keep])
+        s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
+        with pytest.raises(ConservationError, match="energy drifted"):
+            evolve(broken, s, t_end=0.01)
 
     def test_validation(self, table8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
