@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -226,8 +227,16 @@ def _compose_lines(text: str) -> Dict[str, int]:
     return lines
 
 
+# YAML 1.1 reads an exponent literal as a string unless its mantissa has a dot
+# and its exponent a sign (1e4 and 1.0e4 are strings, 1.0e+4 is a float); a
+# numeric key takes such a string as the number it spells
+_EXPONENT_LITERAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
 def _scalar(tp: type, value: Any, path: str, line: Optional[int]) -> Any:
     """Coerce one YAML scalar to bool, str, int or float, or raise."""
+    if tp in (int, float) and isinstance(value, str) and _EXPONENT_LITERAL.fullmatch(value):
+        value = float(value)
     if tp is bool:
         if isinstance(value, bool):
             return value

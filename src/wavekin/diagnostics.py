@@ -28,6 +28,7 @@ __all__ = [
     "low_mass",
     "convex_production",
     "production_scale",
+    "production_brackets",
     "make_record",
     "cascade_report",
     "kinked_low_pass",
@@ -97,16 +98,8 @@ def _convexity_violation(phi_vals: np.ndarray) -> float:
     return float(np.min(second)) / scale
 
 
-def convex_production(table, state, phi: Callable, check_convexity: bool = True) -> float:
-    """Production of the functional sum(g * phi(omega)) by the interactions.
-
-    Computed as sum over table entries of
-    mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j].
-    For convex phi the result is nonnegative up to rounding; for affine phi
-    the bracket vanishes node by node.  Non-convex phi is rejected so that a
-    negative return can only ever mean a broken kernel table.
-    """
-    _solver._check_same_grid(table, state)
+def _bracket(table, phi: Callable, check_convexity: bool) -> np.ndarray:
+    """phi_l + phi_m - phi_i - phi_j per table entry: the test-function bracket."""
     grid = table.grid
     phi_vals = np.asarray(phi(grid.omega), dtype=float)
     if phi_vals.shape != grid.omega.shape:
@@ -118,31 +111,60 @@ def convex_production(table, state, phi: Callable, check_convexity: bool = True)
                 f"test function is not convex on the grid (second difference "
                 f"{worst:.3e} of scale); refusing to report a sign"
             )
-    g = state.g
-    rho = table.coef * g[table.i] * g[table.j] * g[table.l]
-    bracket = (phi_vals[table.l] + phi_vals[table.m]
-               - phi_vals[table.i] - phi_vals[table.j])
-    return float(np.sum(rho * bracket) * grid.h)
+    return (phi_vals[table.l] + phi_vals[table.m]
+            - phi_vals[table.i] - phi_vals[table.j])
+
+
+def production_brackets(table, test_functions: Mapping[str, Callable]) -> Dict[str, np.ndarray]:
+    """The bracket of each (convex) test function, for reuse across records.
+
+    Each array holds one float64 per table entry.
+    """
+    return {name: _bracket(table, phi, True) for name, phi in test_functions.items()}
+
+
+def convex_production(table, state, phi: Callable, check_convexity: bool = True) -> float:
+    """Production of the functional sum(g * phi(omega)) by the interactions.
+
+    Computed as sum over table entries of
+    mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j].
+    For convex phi the result is nonnegative up to rounding; for affine phi
+    the bracket vanishes node by node.  Non-convex phi is rejected so that a
+    negative return can only ever mean a broken kernel table.
+    """
+    _solver._check_same_grid(table, state)
+    bracket = _bracket(table, phi, check_convexity)
+    rho = _solver._deposits(table, state.g)
+    return float(np.sum(rho * bracket) * table.grid.h)
 
 
 def production_scale(table, state, phi: Callable) -> float:
     """Sum of absolute bracket contributions; the tolerance scale for signs."""
-    grid = table.grid
-    phi_vals = np.asarray(phi(grid.omega), dtype=float)
-    g = state.g
-    rho = table.coef * g[table.i] * g[table.j] * g[table.l]
-    bracket = (phi_vals[table.l] + phi_vals[table.m]
-               - phi_vals[table.i] - phi_vals[table.j])
-    return float(np.sum(np.abs(rho * bracket)) * grid.h)
+    bracket = _bracket(table, phi, False)
+    rho = _solver._deposits(table, state.g)
+    return float(np.sum(np.abs(rho * bracket)) * table.grid.h)
 
 
-def make_record(state, cfg: DiagnosticsConfig, table=None) -> DiagnosticsRecord:
+def make_record(state, cfg: DiagnosticsConfig, table=None, *,
+                deposits: Optional[np.ndarray] = None,
+                brackets: Optional[Mapping[str, np.ndarray]] = None) -> DiagnosticsRecord:
+    """Diagnostics of one state.
+
+    Convex production needs ``table``.  ``deposits`` (the operator's rho per
+    table entry at this state) and ``brackets`` (from production_brackets
+    for ``cfg.test_functions``) may be passed in to skip recomputing them.
+    """
     band = {float(R): band_energy(state, state.grid.d, R) for R in cfg.band_radii}
     low = {float(dd): low_mass(state, dd) for dd in cfg.deltas}
     prod: Dict[str, float] = {}
     if cfg.test_functions and table is not None:
-        for name, phi in cfg.test_functions.items():
-            prod[name] = convex_production(table, state, phi)
+        if deposits is None:
+            _solver._check_same_grid(table, state)
+            deposits = _solver._deposits(table, state.g)
+        if brackets is None:
+            brackets = production_brackets(table, cfg.test_functions)
+        for name, bracket in brackets.items():
+            prod[name] = float(np.sum(deposits * bracket) * table.grid.h)
     return DiagnosticsRecord(
         time=state.time,
         mass=mass(state),

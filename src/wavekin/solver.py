@@ -161,6 +161,24 @@ class KernelTable:
     w: np.ndarray = field(repr=False)
     mult: np.ndarray = field(repr=False)
     coef: np.ndarray = field(repr=False)
+    # i at the head of each run of equal consecutive i, and the run lengths;
+    # likewise for j.  Derived from i and j, so any entry order is valid; the
+    # builder's (i, j, l) order makes the runs long.
+    i_heads: np.ndarray = field(init=False, repr=False)
+    i_runs: np.ndarray = field(init=False, repr=False)
+    j_heads: np.ndarray = field(init=False, repr=False)
+    j_runs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for key in ("i", "j"):
+            values = np.asarray(getattr(self, key))
+            head = np.ones(values.size, dtype=bool)
+            np.not_equal(values[1:], values[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            heads, runs = values[starts], np.diff(starts, append=values.size)
+            for name, arr in ((key + "_heads", heads), (key + "_runs", runs)):
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
     @property
     def n_entries(self) -> int:
@@ -297,14 +315,32 @@ def _check_same_grid(table: KernelTable, state: SpectrumState) -> None:
         )
 
 
-def _rhs_of_g(table: KernelTable, g: np.ndarray) -> np.ndarray:
+def _deposits(table: KernelTable, g: np.ndarray) -> np.ndarray:
+    """rho = coef * g_i * g_j * g_l per table entry, multiplied in that order.
+
+    g_i and g_j are constant along the table's runs of equal i and of equal
+    j, so they are gathered once per run and repeated; l varies entry by
+    entry.
+    """
+    rho = table.coef * np.repeat(g[table.i_heads], table.i_runs)
+    rho *= np.repeat(g[table.j_heads], table.j_runs)
+    rho *= g[table.l]
+    return rho
+
+
+def _scatter(table: KernelTable, rho: np.ndarray):
+    """Per-node sums of the deposits at the l, m, i and j ends of each entry."""
     n = table.grid.n_nodes
-    rho = table.coef * g[table.i] * g[table.j] * g[table.l]
-    out = np.bincount(table.l, weights=rho, minlength=n)
-    out += np.bincount(table.m, weights=rho, minlength=n)
-    out -= np.bincount(table.i, weights=rho, minlength=n)
-    out -= np.bincount(table.j, weights=rho, minlength=n)
-    return out
+    return [np.bincount(idx, weights=rho, minlength=n)
+            for idx in (table.l, table.m, table.i, table.j)]
+
+
+def _rhs_of_g(table: KernelTable, g: np.ndarray, deposits: bool = False):
+    """The operator at density g; with ``deposits``, also its rho per entry."""
+    rho = _deposits(table, g)
+    gain_l, gain_m, loss_i, loss_j = _scatter(table, rho)
+    out = gain_l + gain_m - loss_i - loss_j
+    return (out, rho) if deposits else out
 
 
 def rhs(table: KernelTable, state: SpectrumState) -> np.ndarray:
@@ -316,14 +352,9 @@ def rhs(table: KernelTable, state: SpectrumState) -> np.ndarray:
 def rhs_with_scale(table: KernelTable, state: SpectrumState):
     """rhs plus the per-node sum of |deposits|, the conservation error scale."""
     _check_same_grid(table, state)
-    g = state.g
-    n = table.grid.n_nodes
-    rho = table.coef * g[table.i] * g[table.j] * g[table.l]
-    parts = [np.bincount(idx, weights=rho, minlength=n)
-             for idx in (table.l, table.m, table.i, table.j)]
-    out = parts[0] + parts[1] - parts[2] - parts[3]
-    scale = parts[0] + parts[1] + parts[2] + parts[3]
-    return out, scale
+    gain_l, gain_m, loss_i, loss_j = _scatter(table, _deposits(table, state.g))
+    return (gain_l + gain_m - loss_i - loss_j,
+            gain_l + gain_m + loss_i + loss_j)
 
 
 def step(
@@ -331,11 +362,15 @@ def step(
     state: SpectrumState,
     dt: float,
     method: str = "rk4",
+    *,
+    k1: Optional[np.ndarray] = None,
 ) -> SpectrumState:
     """Advance one explicit step, halving dt (at most 30 times) to keep g >= 0.
 
-    The stencil conserves mass and energy stage by stage, so any accepted
-    step inherits conservation to rounding error regardless of dt.
+    ``k1``, if given, must be ``rhs(table, state)``; it saves that evaluation.
+    It does not depend on dt, so every halving reuses it.  The stencil
+    conserves mass and energy stage by stage, so any accepted step inherits
+    conservation to rounding error regardless of dt.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -344,16 +379,19 @@ def step(
     _check_same_grid(table, state)
 
     g0 = state.g
+    if k1 is None:
+        k1 = _rhs_of_g(table, g0)
+    elif np.shape(k1) != g0.shape:
+        raise ValueError(f"k1 has shape {np.shape(k1)} for a {g0.size}-node state")
     trial = float(dt)
     for _ in range(31):
         if method == "rk4":
-            k1 = _rhs_of_g(table, g0)
             k2 = _rhs_of_g(table, g0 + 0.5 * trial * k1)
             k3 = _rhs_of_g(table, g0 + 0.5 * trial * k2)
             k4 = _rhs_of_g(table, g0 + trial * k3)
             g1 = g0 + (trial / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            g1 = g0 + trial * _rhs_of_g(table, g0)
+            g1 = g0 + trial * k1
         if np.all(g1 >= 0.0):
             return SpectrumState(g=g1, time=state.time + trial, grid=state.grid)
         trial *= 0.5
@@ -383,9 +421,11 @@ def evolve(
     floor = floor_frac * max(g): nodes carrying appreciable density change by
     at most ~safety per step.  ``max_dt`` caps the step on top of that.
     Diagnostics are recorded at t=0, every ``output_every`` time units (every
-    accepted step if 0), and at the end.  Returns a list of (state, record)
-    pairs.  Raises ConservationError if mass or energy drifts by more than
-    1e-10 relative between the first and last record.
+    accepted step if 0), and at the end.  The operator is evaluated once per
+    state: that evaluation sets dt, is the step's k1 and gives the record its
+    deposits.  Returns a list of (state, record) pairs.  Raises
+    ConservationError if mass or energy drifts by more than 1e-10 relative
+    between the first and last record.
     """
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -395,11 +435,24 @@ def evolve(
         raise ValueError("max_steps must be at least 1")
     _check_same_grid(table, state0)
     cfg = diagnostics_config if diagnostics_config is not None else _diag.DiagnosticsConfig()
+    brackets = _diag.production_brackets(table, cfg.test_functions)
+    out = []
 
-    def record(s: SpectrumState):
-        return _diag.make_record(s, cfg, table=table)
+    def record(s: SpectrumState) -> Optional[np.ndarray]:
+        """Append the record of s; return the operator at s if it was evaluated.
 
-    out = [(state0, record(state0))]
+        Convex production needs the operator's deposits at s, so with test
+        functions the record evaluates it, and the next step reuses that
+        evaluation as its k1.  The deposits are dropped with the record.
+        """
+        k = rho = None
+        if brackets:
+            k, rho = _rhs_of_g(table, s.g, deposits=True)
+        out.append((s, _diag.make_record(s, cfg, table=table, deposits=rho,
+                                         brackets=brackets)))
+        return k
+
+    r = record(state0)
     if t_end == 0.0:
         return out
 
@@ -412,7 +465,8 @@ def evolve(
     while state.time < target - tiny:
         if max_steps is not None and steps >= max_steps:
             break
-        r = _rhs_of_g(table, state.g)
+        if r is None:
+            r = _rhs_of_g(table, state.g)
         gmax = float(state.g.max(initial=0.0))
         rmax = float(np.max(np.abs(r))) if r.size else 0.0
         if rmax == 0.0 or gmax == 0.0:
@@ -424,17 +478,16 @@ def evolve(
         if max_dt is not None:
             dt = min(dt, max_dt)
         dt = min(dt, target - state.time)
-        state = step(table, state, dt, method=method)
+        state = step(table, state, dt, method=method, k1=r)
         steps += 1
-        if next_output is None:
-            out.append((state, record(state)))
-        elif state.time >= next_output - tiny:
-            out.append((state, record(state)))
-            while next_output <= state.time + tiny:
-                next_output += output_every
+        r = None
+        if next_output is None or state.time >= next_output - tiny:
+            r = record(state)
+        while next_output is not None and next_output <= state.time + tiny:
+            next_output += output_every
 
     if out[-1][0] is not state:
-        out.append((state, record(state)))
+        record(state)
 
     first, last = out[0][1], out[-1][1]
     for name, q0, q1 in (("mass", first.mass, last.mass),

@@ -120,7 +120,9 @@ class TestParseConfig:
                           ("integrator:\n  max_steps: 2.5\n", "max_steps"),
                           ("diagnostics:\n  deltas: 0.5\n", "deltas"),
                           ("diagnostics:\n  deltas: [a]\n", "deltas"),
-                          ("kernel:\n  oracle: 3\n", "oracle")):
+                          ("kernel:\n  oracle: 3\n", "oracle"),
+                          ("integrator:\n  dt0: 1e-2x\n", "dt0"),
+                          ("kernel:\n  oracle:\n    tail_cut: 1e1\n", "tail_cut.*>= 100")):
             with pytest.raises(ConfigError, match=key):
                 parse_config(text)
         cfg = parse_config("integrator:\n  max_steps: 4.0\n  dt0: 1\n"
@@ -128,6 +130,12 @@ class TestParseConfig:
         assert cfg.integrator.max_steps == 4 and type(cfg.integrator.max_steps) is int
         assert type(cfg.integrator.dt0) is float
         assert cfg.diagnostics.deltas == (1.0, 0.5)
+        # YAML 1.1 reads these exponent literals as strings
+        cfg = parse_config("kernel:\n  oracle:\n    tail_cut: 1e4\n"
+                           "integrator:\n  max_steps: 1e3\n  dt0: 2.5e-3\n")
+        assert cfg.kernel.oracle.tail_cut == 1e4
+        assert cfg.integrator.max_steps == 1000 and type(cfg.integrator.max_steps) is int
+        assert cfg.integrator.dt0 == 2.5e-3
 
     def test_readme_table_lists_exactly_the_schema_keys(self):
         def dotted(cls, prefix=""):

@@ -12,7 +12,13 @@ import pytest
 
 from conftest import random_state
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
-from wavekin.diagnostics import convex_production, quadratic_test
+from wavekin import solver
+from wavekin.diagnostics import (
+    DiagnosticsConfig,
+    convex_production,
+    kinked_low_pass,
+    quadratic_test,
+)
 from wavekin.dispersion import DispersionRelation, eval_omega
 from wavekin.solver import (
     ConservationError,
@@ -398,3 +404,118 @@ class TestEvolve:
             evolve(table8_quad, s, t_end=1.0, max_dt=0.0)
         with pytest.raises(ValueError):
             evolve(table8_quad, s, t_end=1.0, max_steps=0)
+
+
+def _hand_built(t, keep):
+    """A table of the entries of t picked (in that order) by index array keep."""
+    return KernelTable(grid=t.grid, kw=t.kw, i=t.i[keep], j=t.j[keep], l=t.l[keep],
+                       m=t.m[keep], w=t.w[keep], mult=t.mult[keep], coef=t.coef[keep])
+
+
+class TestRunGather:
+    """rho gathered by runs of equal i and of equal j equals the entry-by-entry product."""
+
+    @staticmethod
+    def assert_matches_product(table, g):
+        want = table.coef * g[table.i] * g[table.j] * g[table.l]
+        got = solver._deposits(table, g)
+        assert got.shape == want.shape
+        assert np.all(got == want)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+    def test_built_tables(self, alpha, cutoff_n):
+        d = DispersionRelation.power_law(alpha)
+        grid = OmegaGrid(d, 24, 4.0)
+        table = build_kernel_table(KernelWeights(cutoff_n=cutoff_n), d, grid)
+        assert table.j_heads.size < table.n_entries
+        self.assert_matches_product(table, random_state(grid, np.random.default_rng(5)).g)
+
+    def test_permuted_hand_built_table(self, table32_quad, grid32_quad):
+        perm = np.random.default_rng(7).permutation(table32_quad.n_entries)
+        table = _hand_built(table32_quad, perm)
+        self.assert_matches_product(table, random_state(grid32_quad, np.random.default_rng(8)).g)
+
+    def test_empty_table(self, table8_quad, grid8_quad):
+        table = _hand_built(table8_quad, np.array([], dtype=int))
+        assert table.n_entries == 0 and table.i_heads.size == 0
+        self.assert_matches_product(table, random_state(grid8_quad, np.random.default_rng(9)).g)
+
+
+class TestOperatorReuse:
+    """evolve evaluates the operator once per state and shares that result."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count operator evaluations and steps; check that no step halves."""
+        counts = {"rhs": 0, "step": 0}
+        rhs_of_g, step_fn = solver._rhs_of_g, solver.step
+
+        def counting_rhs(*args, **kwargs):
+            counts["rhs"] += 1
+            return rhs_of_g(*args, **kwargs)
+
+        def counting_step(table, state, dt, *args, **kwargs):
+            counts["step"] += 1
+            out = step_fn(table, state, dt, *args, **kwargs)
+            assert out.time == state.time + dt  # no halving: 4 evaluations
+            return out
+
+        monkeypatch.setattr(solver, "_rhs_of_g", counting_rhs)
+        monkeypatch.setattr(solver, "step", counting_step)
+        return counts
+
+    @pytest.mark.parametrize("output_every, max_steps", [(0.0, None), (0.004, None),
+                                                         (0.0, 3), (1.0, 3)])
+    @pytest.mark.parametrize("with_tests", [True, False])
+    def test_call_counts(self, counted, table32_quad, grid32_quad,
+                         output_every, max_steps, with_tests):
+        # each step costs 4 evaluations, the first of them shared with the dt
+        # choice and, when there are test functions, with the record of the
+        # state it starts from; only the final record's evaluation is extra
+        tests = {"low_pass:2.0": kinked_low_pass(2.0), "quadratic": quadratic_test()}
+        cfg = DiagnosticsConfig(test_functions=tests if with_tests else {})
+        s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
+        out = evolve(table32_quad, s, t_end=0.01, output_every=output_every,
+                     max_steps=max_steps, diagnostics_config=cfg)
+        assert counted["step"] >= 3
+        assert counted["rhs"] == 4 * counted["step"] + (1 if with_tests else 0)
+        for state, rec in out:
+            assert set(rec.convex_production) == (set(tests) if with_tests else set())
+            for name, value in rec.convex_production.items():
+                assert value == convex_production(table32_quad, state, tests[name])
+
+    @pytest.mark.parametrize("with_tests", [True, False])
+    def test_zero_horizon(self, counted, table32_quad, grid32_quad, with_tests):
+        cfg = DiagnosticsConfig(test_functions={"quadratic": quadratic_test()}
+                                if with_tests else {})
+        s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
+        evolve(table32_quad, s, t_end=0.0, diagnostics_config=cfg)
+        assert counted == {"rhs": 1 if with_tests else 0, "step": 0}
+
+    def test_nonconvex_test_function_rejected_before_any_step(
+            self, counted, table32_quad, grid32_quad):
+        cfg = DiagnosticsConfig(test_functions={"sine": lambda w: np.sin(w)})
+        s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
+        with pytest.raises(ValueError, match="not convex"):
+            evolve(table32_quad, s, t_end=0.01, diagnostics_config=cfg)
+        assert counted == {"rhs": 0, "step": 0}
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_given_k1_is_bitwise_neutral(self, table8_mid, grid8_mid, method):
+        # the input of test_halving_keeps_nonnegativity: dt = 3 * dt_star
+        # halves at least once, and k1 is reused by every halving
+        s = random_state(grid8_mid, np.random.default_rng(23))
+        r = rhs(table8_mid, s)
+        sinks = r < 0.0
+        dt_star = float(np.min(s.g[sinks] / -r[sinks]))
+        for dt in (0.1 * dt_star, 3.0 * dt_star, 50.0 * dt_star):
+            plain = step(table8_mid, s, dt, method=method)
+            given = step(table8_mid, s, dt, method=method, k1=rhs(table8_mid, s))
+            assert np.array_equal(given.g, plain.g)
+            assert given.time == plain.time
+
+    def test_k1_shape_checked(self, table8_mid, grid8_mid):
+        s = random_state(grid8_mid, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="k1"):
+            step(table8_mid, s, 0.1, k1=np.zeros(3))
