@@ -10,12 +10,10 @@ indicates a solver defect rather than physics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from wavekin import solver as _solver
 
@@ -71,7 +69,7 @@ def energy(state) -> float:
     return float(np.sum(state.g * state.grid.omega) * state.grid.h)
 
 
-def band_energy(state, d, R: float) -> float:
+def band_energy(state, R: float) -> float:
     """Energy carried by nodes with radius at most R."""
     if not R > 0.0:
         raise ValueError(f"band radius must be positive, got {R}")
@@ -154,7 +152,7 @@ def make_record(state, cfg: DiagnosticsConfig, table=None, *,
     table entry at this state) and ``brackets`` (from production_brackets
     for ``cfg.test_functions``) may be passed in to skip recomputing them.
     """
-    band = {float(R): band_energy(state, state.grid.d, R) for R in cfg.band_radii}
+    band = {float(R): band_energy(state, R) for R in cfg.band_radii}
     low = {float(dd): low_mass(state, dd) for dd in cfg.deltas}
     prod: Dict[str, float] = {}
     if cfg.test_functions and table is not None:
@@ -252,15 +250,66 @@ def test_function_registry(ids: Iterable[str]) -> Dict[str, Callable]:
 
 # --- trend reporting ---------------------------------------------------------
 
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b of paired samples, from exact integer pair counts.
+
+    Discordant pairs are the strict inversions of y once the pairs are
+    ordered by x (ties by y), counted by bottom-up merging in O(n log n) time
+    and O(n) memory (Knight, JASA 61, 1966).  The value is the same
+    expression as scipy.stats.kendalltau's and equals it bit for bit.  An
+    undefined tau (NaN input, or every x or every y tied) is reported as 0.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return 0.0
+
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    xr = np.cumsum(np.r_[True, xs[1:] != xs[:-1]])
+    yr = np.unique(ys, return_inverse=True)[1].astype(np.int64) + 1
+
+    # s holds the y ranks sorted within blocks of `width`; each pass counts,
+    # for every element of a right block, the greater elements of its left
+    # neighbour, then merges the pair (keys block * (n + 1) + rank keep the
+    # blocks apart, and a stable sort of two sorted runs is a merge)
+    dis = 0
+    s = yr
+    pos = np.arange(n)
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        keys = block * (n + 1) + s
+        right = (pos // width) % 2 == 1
+        left_keys = keys[~right]
+        above = (block[right] + 1) * width - np.searchsorted(
+            left_keys, keys[right], side="right")
+        dis += int(above.sum())
+        s = np.sort(keys, kind="stable") - block * (n + 1)
+        width *= 2
+
+    def tied_pairs(counts: np.ndarray) -> int:
+        return int((counts * (counts - 1) // 2).sum())
+
+    joint = np.r_[True, (xr[1:] != xr[:-1]) | (ys[1:] != ys[:-1]), True]
+    ntie = tied_pairs(np.diff(np.flatnonzero(joint)))
+    xtie = tied_pairs(np.bincount(xr))
+    ytie = tied_pairs(np.bincount(yr))
+    tot = n * (n - 1) // 2
+    if xtie == tot or ytie == tot:
+        return 0.0
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 def _trend(times: np.ndarray, values: np.ndarray) -> Dict[str, float]:
     """Kendall tau and relative total change of a scalar time series."""
     if values.size < 2 or np.allclose(values, values[0]):
         tau = 0.0
     else:
-        res = stats.kendalltau(times, values)
-        tau = float(getattr(res, "statistic", res[0]))
-        if math.isnan(tau):
-            tau = 0.0
+        tau = _kendall_tau_b(times, values)
     first = float(values[0])
     last = float(values[-1])
     denom = max(abs(first), 1e-300)

@@ -131,7 +131,7 @@ class DispersionRelation:
         check is evidence, not proof: the grid is finite.
         """
         r = _CHECK_GRID if r_samples is None else np.asarray(r_samples, dtype=float)
-        w = np.array([eval_omega(self, float(x)) for x in r])
+        w = eval_omega(self, r)
 
         if eval_omega(self, 0.0) != 0.0:
             raise ValueError("omega(0) must be 0")
@@ -153,7 +153,7 @@ class DispersionRelation:
                 f"small-radius upper bound violated at r={r[small][i]:g}"
             )
 
-        mho = np.array([eval_mho(self, float(x)) for x in r])
+        mho = eval_mho(self, r)
         cap = self.c_mho * r ** self.iota
         if np.any(mho > cap * (1.0 + 1e-9)):
             i = int(np.argmax(mho > cap * (1.0 + 1e-9)))
@@ -168,7 +168,7 @@ class DispersionRelation:
         # Convexity surrogate: nonnegative second differences on a uniform grid.
         h = 1e-2
         ru = np.arange(h, 10.0, h)
-        wu = np.array([eval_omega(self, float(x)) for x in ru])
+        wu = eval_omega(self, ru)
         second = wu[:-2] + wu[2:] - 2.0 * wu[1:-1]
         if np.any(second < -_CONVEXITY_TOL):
             raise ValueError("omega fails the convexity check (second differences)")
@@ -215,12 +215,13 @@ def eval_mho(d: DispersionRelation, r) -> float:
 
 
 def invert_omega(d: DispersionRelation, w: float) -> float:
-    """Radius r with omega(r) = w, by bracketed bisection.
+    """Radius r with omega(r) = w.
 
-    The initial bracket [0, max(1, (w / c_omega_lower)**(1/alpha))] is valid
-    because of the lower growth bound; it is widened defensively in case a
-    custom profile only meets its declared constant marginally.  The result
-    satisfies |omega(r) - w| <= 1e-12 * max(1, w).
+    Power laws use the closed form w**(1/alpha).  Custom laws use bracketed
+    bisection: the initial bracket [0, max(1, (w / c_omega_lower)**(1/alpha))]
+    is valid because of the lower growth bound; it is widened defensively in
+    case a custom profile only meets its declared constant marginally.  Either
+    way the result satisfies |omega(r) - w| <= 1e-12 * max(1, w).
     """
     if not (isinstance(w, (int, float)) and math.isfinite(w)):
         raise ValueError(f"target frequency must be finite, got {w!r}")
@@ -229,6 +230,8 @@ def invert_omega(d: DispersionRelation, w: float) -> float:
         raise ValueError(f"target frequency must be nonnegative, got {w}")
     if w == 0.0:
         return 0.0
+    if d.kind == "power_law":
+        return w ** (1.0 / d.alpha)
 
     hi = max(1.0, (w / d.c_omega_lower) ** (1.0 / d.alpha))
     for _ in range(200):

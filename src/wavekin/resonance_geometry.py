@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from wavekin.dispersion import DispersionRelation, eval_mho, eval_omega, invert_omega
 
@@ -83,6 +82,17 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
 # --- point sets and collision-region iteration -------------------------------
 
 
+def _kd_tree(points: np.ndarray):
+    """Nearest-neighbour index of the points, or None when there are none.
+
+    SciPy is imported here, not at module level, so that importing the
+    package (and running ``simulate``) never loads it.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points) if points.shape[0] else None
+
+
 class PointSet3:
     """A finite stand-in for a region of wavenumber space, origin excluded.
 
@@ -116,7 +126,7 @@ class PointSet3:
         self.tol = float(tol) if tol is not None else 1e-3 * scale
         if self.tol <= 0.0:
             raise ValueError(f"membership tolerance must be positive, got {self.tol}")
-        self._tree = cKDTree(self.points) if self.points.shape[0] else None
+        self._tree = _kd_tree(self.points)
 
     @property
     def n_points(self) -> int:
@@ -155,7 +165,7 @@ class PointSet3:
         out.points = merged
         out.generator = self.generator
         out.tol = self.tol
-        out._tree = cKDTree(merged) if merged.shape[0] else None
+        out._tree = _kd_tree(merged)
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -104,7 +104,7 @@ class OmegaGrid:
         # entry is never read; store 0 rather than evaluate at r = 0 (which
         # is undefined for iota = 0)
         mho = np.zeros(n_nodes)
-        mho[1:] = [eval_mho(d, x) for x in r[1:]]
+        mho[1:] = eval_mho(d, r[1:])
         if not np.all(np.diff(r) > 0.0):
             raise ValueError("grid radii must be strictly increasing")
         for name, value in (
@@ -194,8 +194,10 @@ def _chi_mask(grid: OmegaGrid, kw: KernelWeights) -> np.ndarray:
     return mask
 
 
-def _class_valid(i: int, j: int, l_arr: np.ndarray, n: int) -> np.ndarray:
+def _class_valid(i: int, j, l_arr: np.ndarray, n: int) -> np.ndarray:
     """Whole-class retention test for integration triples (i, j, l), i <= j.
+
+    ``j`` and ``l_arr`` may be any arrays that broadcast against each other.
 
     An unordered triple {x >= y >= z} stands for three resonance pairings
     whose fourth indices are x+y-z, x+z-y and y+z-x.  Convexity of test
@@ -241,15 +243,15 @@ def build_kernel_table(
     l_all = np.arange(1, n, dtype=np.int64)
     chi_l = chi[1:]
 
+    def row(i: int):
+        """Admissible j >= i of row i and the (j, l) validity mask over them."""
+        j_adm = i + np.flatnonzero(chi[i:])
+        return j_adm, _class_valid(i, j_adm[:, None], l_all[None, :], n) & chi_l
+
+    rows = [i for i in range(1, n) if chi[i]]
+
     # First pass: count entries so the budget check precedes allocation.
-    count = 0
-    for i in range(1, n):
-        if not chi[i]:
-            continue
-        for j in range(i, n):
-            if not chi[j]:
-                continue
-            count += int(np.count_nonzero(_class_valid(i, j, l_all, n) & chi_l))
+    count = sum(int(np.count_nonzero(row(i)[1])) for i in rows)
     bytes_needed = count * (4 * 4 + 8 * 2 + 1 + 8)
     if bytes_needed > max_bytes:
         raise MemoryBudgetError(
@@ -266,29 +268,24 @@ def build_kernel_table(
     mu = np.empty(count, dtype=np.int8)
 
     pos = 0
-    for i in range(1, n):
-        if not chi[i]:
-            continue
-        for j in range(i, n):
-            if not chi[j]:
-                continue
-            valid = _class_valid(i, j, l_all, n) & chi_l
-            if not valid.any():
-                continue
-            l_v = l_all[valid]
-            m_v = i + j - l_v
-            least = np.minimum(np.minimum(r[l_v], r[m_v]), min(r[i], r[j]))
-            if math.isfinite(ncut):
-                np.minimum(least, ncut, out=least)
-            w_v = kw.c_q * mho[m_v] * least / (r[i] * r[j] * r[l_v])
-            k = l_v.size
-            ii[pos:pos + k] = i
-            jj[pos:pos + k] = j
-            ll[pos:pos + k] = l_v
-            mm[pos:pos + k] = m_v
-            ww[pos:pos + k] = w_v
-            mu[pos:pos + k] = 1 if i == j else 2
-            pos += k
+    for i in rows:
+        j_adm, valid = row(i)
+        j_idx, l_idx = np.nonzero(valid)  # (j, l) order
+        j_v = j_adm[j_idx]
+        l_v = l_all[l_idx]
+        m_v = i + j_v - l_v
+        least = np.minimum(np.minimum(r[l_v], r[m_v]), np.minimum(r[i], r[j_v]))
+        if math.isfinite(ncut):
+            np.minimum(least, ncut, out=least)
+        w_v = kw.c_q * mho[m_v] * least / (r[i] * r[j_v] * r[l_v])
+        k = l_v.size
+        ii[pos:pos + k] = i
+        jj[pos:pos + k] = j_v
+        ll[pos:pos + k] = l_v
+        mm[pos:pos + k] = m_v
+        ww[pos:pos + k] = w_v
+        mu[pos:pos + k] = np.where(j_v == i, 1, 2)
+        pos += k
     assert pos == count
 
     coef = ww * mu * grid.h ** 2

@@ -9,12 +9,15 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import wavekin
 from wavekin.cli import main
 from wavekin.config import ConfigError, RunConfig, load_config_file, parse_config
 
@@ -343,6 +346,35 @@ class TestReportCommand:
         rc = main(["report", str(tmp_path / "none.csv")])
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
+
+
+# simulate then report in one fresh interpreter; the last stdout line lists
+# the scipy modules loaded by then
+_SCIPY_PROBE = """
+import json, sys
+from wavekin.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [main(["simulate", "--config", cfg, "--out", out]),
+         main(["report", out + "/series.csv"])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+class TestImportGuard:
+    def test_simulate_and_report_never_import_scipy(self, run_dir):
+        # SciPy costs ~1 s of import time; only the geometry suite may load it
+        tmp_path, cfg_path = run_dir
+        src = str(Path(wavekin.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, str(cfg_path), str(tmp_path / "sim")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"codes": [0, 0], "scipy": []}
 
 
 class TestVerifyCommands:

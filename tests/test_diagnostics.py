@@ -6,6 +6,9 @@ d/dt sum(phi * g * h) = sum(phi * rhs * h): the two are the same bilinear
 form written in different orders, so they must agree to rounding.
 """
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from wavekin.diagnostics import (
     shifted_ramp,
     smoothed_low_pass,
 )
+from wavekin.diagnostics import _kendall_tau_b
 from wavekin.diagnostics import test_function_registry as registry
 from wavekin.solver import OmegaGrid, SpectrumState, gaussian_bump, rhs
 
@@ -41,21 +45,21 @@ class TestScalars:
         assert mass(s) == pytest.approx(1.0, rel=1e-15)
         assert energy(s) == pytest.approx(2.5, rel=1e-15)
 
-    def test_band_energy_orders_with_radius(self, d_quad, grid32_quad):
+    def test_band_energy_orders_with_radius(self, grid32_quad):
         s = SpectrumState(
             g=np.exp(-0.5 * ((grid32_quad.r - 1.5) / 0.3) ** 2),
             time=0.0,
             grid=grid32_quad,
         )
-        e_small = band_energy(s, d_quad, 1.0)
-        e_big = band_energy(s, d_quad, 1.9)
+        e_small = band_energy(s, 1.0)
+        e_big = band_energy(s, 1.9)
         assert 0.0 <= e_small < e_big
-        assert band_energy(s, d_quad, 1e6) == pytest.approx(energy(s), rel=1e-15)
+        assert band_energy(s, 1e6) == pytest.approx(energy(s), rel=1e-15)
 
-    def test_band_energy_validates_radius(self, d_quad, grid8_quad):
+    def test_band_energy_validates_radius(self, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
         with pytest.raises(ValueError):
-            band_energy(s, d_quad, 0.0)
+            band_energy(s, 0.0)
 
     def test_low_mass_threshold_is_delta_squared(self, d_quad):
         grid = OmegaGrid(d_quad, 5, 4.0)  # omega = 0, 1, 2, 3, 4
@@ -248,3 +252,76 @@ class TestCascadeReport:
         recs = _records(t, masses, np.ones(20), band=np.ones(20), low=np.ones(20))
         rep = cascade_report(recs)
         assert rep["mass_drift_rel"] == pytest.approx(0.5)
+
+
+def _kendall_tau_b_pairwise(x, y) -> float:
+    """tau-b from the sign of every pair: the O(n^2) definition.
+
+    Clipped to [-1, 1] like SciPy's, since the two square roots can round
+    a perfectly ordered series just past 1.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = x.size
+    con = dis = xtie = ytie = 0
+    for a in range(n - 1):
+        sx = np.sign(x[a + 1:] - x[a])
+        sy = np.sign(y[a + 1:] - y[a])
+        con += int(np.count_nonzero(sx * sy > 0))
+        dis += int(np.count_nonzero(sx * sy < 0))
+        xtie += int(np.count_nonzero(sx == 0))
+        ytie += int(np.count_nonzero(sy == 0))
+    tot = n * (n - 1) // 2
+    if xtie == tot or ytie == tot:
+        return 0.0
+    tau = (con - dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _kendall_cases():
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 33, 34, 1001):
+        t = np.arange(n, dtype=float)
+        yield n, "random", rng.random(n), rng.random(n)
+        yield n, "ties_in_x", rng.integers(0, 4, n).astype(float), rng.random(n)
+        yield n, "ties_in_y", t, rng.integers(0, 4, n).astype(float)
+        yield n, "ties_in_both", rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float)
+        yield n, "plateaus", t, np.floor(np.linspace(0.0, 4.0, n))
+        yield n, "increasing", t, np.exp(t / n)
+        yield n, "decreasing", t, -t
+        yield n, "x_all_tied", np.ones(n), rng.random(n)
+        yield n, "y_all_tied", t, np.full(n, 3.0)
+
+
+_CASES = list(_kendall_cases())
+
+
+class TestKendallTau:
+    """The NumPy tau-b against SciPy and against the pairwise definition."""
+
+    @pytest.mark.parametrize("n, kind, x, y", _CASES,
+                             ids=[f"{kind}-{n}" for n, kind, _, _ in _CASES])
+    def test_matches_scipy_and_pairwise(self, n, kind, x, y):
+        from scipy import stats
+
+        got = _kendall_tau_b(x, y)
+        ref = float(stats.kendalltau(x, y).statistic)
+        assert got == (0.0 if math.isnan(ref) else ref)
+        assert got == _kendall_tau_b_pairwise(x, y)
+        if kind.endswith("all_tied"):
+            assert got == 0.0
+        if kind in ("increasing", "decreasing"):
+            assert got == pytest.approx(1.0 if kind == "increasing" else -1.0, abs=1e-15)
+
+    def test_undefined_inputs_give_zero(self):
+        assert _kendall_tau_b([0.0], [1.0]) == 0.0
+        assert _kendall_tau_b([0.0, 1.0, 2.0], [1.0, np.nan, 2.0]) == 0.0
+
+    def test_long_series_is_fast(self):
+        rng = np.random.default_rng(3)
+        n = 100_000
+        t = np.arange(n, dtype=float)
+        y = np.cumsum(rng.normal(size=n))
+        start = time.perf_counter()
+        tau = _kendall_tau_b(t, y)
+        assert time.perf_counter() - start < 2.0
+        assert -1.0 <= tau <= 1.0

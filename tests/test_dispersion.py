@@ -109,8 +109,41 @@ class TestInvertOmega:
         r_back = invert_omega(d, eval_omega(d, r))
         assert abs(r_back - r) <= 1e-10 * max(1.0, r)
 
+    @staticmethod
+    def _bisected_copy(alpha: float) -> DispersionRelation:
+        """The power law as a custom law, which invert_omega bisects."""
+        return DispersionRelation.custom(
+            omega=lambda r: r ** alpha,
+            omega_prime=lambda r: alpha * r ** (alpha - 1.0),
+            alpha=alpha, alpha_prime=alpha, c_omega_lower=1.0,
+            c_omega_upper=1.0, c_mho=1.0 / alpha, iota=2.0 - alpha,
+        )
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_closed_form_meets_residual_and_matches_bisection(self, alpha):
+        d = DispersionRelation.power_law(alpha)
+        bisected = self._bisected_copy(alpha)
+        for w in np.logspace(-12.0, 6.0, 721):
+            w = float(w)
+            r = invert_omega(d, w)
+            assert abs(eval_omega(d, r) - w) <= 1e-12 * max(1.0, w)
+            # the closed form is off by a couple of ulps plus the rounding of
+            # 1/alpha, which w**(1/alpha) amplifies by |ln w|; bisection stops
+            # at an absolute bracket width of 1e-22 when r < 1e-6
+            bound = 4.5e-16 + 2.0 ** -54 * abs(math.log(w)) + 1e-22 / r
+            assert abs(r - invert_omega(bisected, w)) <= bound * r, w
+
 
 class TestAssumptions:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_array_evaluation_equals_scalar(self, alpha):
+        # check_assumptions and OmegaGrid evaluate whole arrays at once
+        r = np.concatenate([np.logspace(-3, 3, 121), np.arange(1e-2, 10.0, 1e-2)])
+        for d in (DispersionRelation.power_law(alpha),
+                  TestInvertOmega._bisected_copy(alpha)):
+            for fn in (eval_omega, eval_mho):
+                assert np.array_equal(fn(d, r), [fn(d, float(x)) for x in r])
+
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(min_value=1.0 + 1e-6, max_value=2.0))
     def test_power_law_family_admissible(self, alpha):

@@ -154,6 +154,56 @@ class TestKernelTable:
             build_kernel_table(KernelWeights(), d_quad, grid32_quad, max_bytes=64)
 
 
+def _table_by_double_loop(kw, grid):
+    """Table columns built pair by pair over (i, j), one l vector per pair.
+
+    The builder's original double loop, kept as the oracle for the
+    row-vectorised build_kernel_table: same entries, same order, same
+    floating-point expressions.
+    """
+    n = grid.n_nodes
+    r, mho = grid.r, grid.mho
+    chi = solver._chi_mask(grid, kw)
+    l_all = np.arange(1, n, dtype=np.int64)
+    cols = {name: [] for name in ("i", "j", "l", "m", "w", "mult")}
+    for i in range(1, n):
+        if not chi[i]:
+            continue
+        for j in range(i, n):
+            if not chi[j]:
+                continue
+            m_all = i + j - l_all
+            largest = np.where(l_all <= i, m_all, l_all + j - i)
+            l_v = l_all[(m_all >= 1) & (largest <= n - 1) & chi[1:]]
+            m_v = i + j - l_v
+            least = np.minimum(np.minimum(r[l_v], r[m_v]), min(r[i], r[j]))
+            if math.isfinite(kw.cutoff_n):
+                np.minimum(least, kw.cutoff_n, out=least)
+            for name, value in (("i", np.full(l_v.size, i)), ("j", np.full(l_v.size, j)),
+                                ("l", l_v), ("m", m_v),
+                                ("w", kw.c_q * mho[m_v] * least / (r[i] * r[j] * r[l_v])),
+                                ("mult", np.full(l_v.size, 1 if i == j else 2))):
+                cols[name].append(value)
+    out = {name: np.concatenate(parts) if parts else np.empty(0)
+           for name, parts in cols.items()}
+    out["coef"] = out["w"] * out["mult"].astype(np.int8) * grid.h ** 2
+    return out
+
+
+@pytest.mark.parametrize("n_nodes", [8, 33, 64])
+@pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_table_matches_double_loop_oracle(alpha, cutoff_n, n_nodes):
+    d = DispersionRelation.power_law(alpha)
+    grid = OmegaGrid(d, n_nodes, 8.0)
+    kw = KernelWeights(cutoff_n=cutoff_n)
+    table = build_kernel_table(kw, d, grid)
+    want = _table_by_double_loop(kw, grid)
+    assert table.n_entries == want["i"].size > 0
+    for name, expected in want.items():
+        assert np.array_equal(getattr(table, name), expected), name
+
+
 def _rhs_brute_force(grid, kw, g):
     """Undeduplicated oracle: loop over every ordered integration triple."""
     n = grid.n_nodes
