@@ -20,7 +20,7 @@ from wavekin.solver import build_kernel_table, evolve, gaussian_bump, OmegaGrid
 
 d = DispersionRelation.power_law(2.0)
 grid = OmegaGrid(d, 96, 8.0)
-table = build_kernel_table(KernelWeights(), d, grid)
+table = build_kernel_table(KernelWeights(), grid)
 print(f"grid: {grid.n_nodes} nodes, spacing h={grid.h:.4f}, "
       f"{table.i.size} interaction entries")
 

@@ -119,14 +119,10 @@ def _series_row(cfg: RunConfig, state, rec: diag.DiagnosticsRecord) -> List[str]
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     """Run the configured evolution and write the run artifacts to out_dir."""
-    d = cfg.make_dispersion()
-    grid = cfg.make_grid(d)
-    kw = cfg.make_kernel_weights()
-    table = build_kernel_table(
-        kw, d, grid,
-        max_bytes=int(cfg.kernel.max_table_mb * 2 ** 20),
-    )
-    state0 = cfg.make_initial_state(d, grid)
+    grid = cfg.make_grid(cfg.make_dispersion())
+    table = build_kernel_table(cfg.make_kernel_weights(), grid,
+                               max_bytes=int(cfg.kernel.max_table_mb * 2 ** 20))
+    state0 = cfg.make_initial_state(grid)
     series = evolve(
         table, state0, cfg.integrator.t_end,
         output_every=cfg.integrator.output_every,

@@ -128,7 +128,7 @@ class RunConfig:
         return KernelWeights(c_q=self.kernel.c_q,
                              cutoff_n=math.inf if n is None else n)
 
-    def make_initial_state(self, d: DispersionRelation, grid: OmegaGrid) -> SpectrumState:
+    def make_initial_state(self, grid: OmegaGrid) -> SpectrumState:
         blk = self.initial
         if blk.preset == "gaussian_bump":
             center = blk.center if blk.center is not None else 0.5 * grid.omega_max
@@ -137,7 +137,7 @@ class RunConfig:
         if blk.preset == "ring":
             r_center = blk.r_center if blk.r_center is not None else 0.5 * grid.r[-1]
             width = blk.width if blk.width is not None else 0.1 * grid.r[-1]
-            return ring_in_r(d, grid, r_center, width, blk.amplitude)
+            return ring_in_r(grid, r_center, width, blk.amplitude)
         if blk.preset == "file":
             return state_from_file(grid, blk.path)
         raise ConfigError("initial.preset", f"unknown preset {blk.preset!r}")

@@ -306,7 +306,10 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
 
 def _trend(times: np.ndarray, values: np.ndarray) -> Dict[str, float]:
     """Kendall tau and relative total change of a scalar time series."""
-    if values.size < 2 or np.allclose(values, values[0]):
+    # a series flat to within rounding of its own size gets tau = 0, as tau
+    # would only rank the rounding noise
+    if values.size < 2 or (np.max(np.abs(values - values[0]))
+                           <= 1e-12 * np.max(np.abs(values))):
         tau = 0.0
     else:
         tau = _kendall_tau_b(times, values)

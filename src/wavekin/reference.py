@@ -143,7 +143,6 @@ def cap_coverage_mc(
     n_experiments: int = 40,
     points_per_experiment: int = 2000,
     seed: int = 0,
-    n_batches: int = 1,
 ) -> Tuple[float, float]:
     """Measured covered fraction after dropping N random caps of area fraction q.
 
@@ -155,10 +154,9 @@ def cap_coverage_mc(
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     cos_thresh = 1.0 - 2.0 * q
-    n_batches = max(1, int(n_batches))
     fractions = np.empty(n_experiments)
     for e in range(n_experiments):
-        rng = np.random.default_rng([seed, e % n_batches, e])
+        rng = np.random.default_rng([seed, 0, e])
         axes = rng.normal(size=(N, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
         pts = rng.normal(size=(points_per_experiment, 3))
@@ -175,7 +173,6 @@ def vcone_mc(
     rho: float,
     n_samples: int = 400_000,
     seed: int = 0,
-    n_batches: int = 1,
 ) -> Tuple[float, float]:
     """Monte-Carlo volume of {x in B(0, R) : x . sigma >= |x| rho / R}.
 
@@ -186,21 +183,16 @@ def vcone_mc(
         raise ValueError(f"R must be positive, got {R}")
     if not 0.0 <= rho <= R:
         raise ValueError(f"rho must lie in [0, R], got {rho}")
-    n_batches = max(1, int(n_batches))
-    per_batch = int(n_samples) // n_batches
-    hits = 0
-    total = 0
-    for b in range(n_batches):
-        rng = np.random.default_rng([seed, b])
-        u = rng.normal(size=(per_batch, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        rad = R * rng.uniform(size=(per_batch, 1)) ** (1.0 / 3.0)
-        x = rad * u
-        lhs = x[:, 2]
-        rhs_val = np.linalg.norm(x, axis=1) * rho / R
-        hits += int(np.count_nonzero(lhs >= rhs_val))
-        total += per_batch
-    p = hits / total
+    n_samples = int(n_samples)
+    rng = np.random.default_rng([seed, 0])
+    u = rng.normal(size=(n_samples, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rad = R * rng.uniform(size=(n_samples, 1)) ** (1.0 / 3.0)
+    x = rad * u
+    lhs = x[:, 2]
+    rhs_val = np.linalg.norm(x, axis=1) * rho / R
+    hits = int(np.count_nonzero(lhs >= rhs_val))
+    p = hits / n_samples
     ball = 4.0 / 3.0 * math.pi * R ** 3
-    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / total) * ball
+    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples) * ball
     return p * ball, stderr

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from wavekin.dispersion import DispersionRelation, eval_mho, eval_omega, invert_omega
+from wavekin.dispersion import DispersionRelation, eval_mho, invert_omega
 from wavekin.collision_kernel import KernelWeights
 from wavekin import diagnostics as _diag
 
@@ -86,18 +86,8 @@ class OmegaGrid:
             raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
         if not omega_max > 0.0:
             raise ValueError(f"omega_max must be positive, got {omega_max}")
-        h = float(omega_max) / (int(n_nodes) - 1)
-        self._init_from_spacing(d, int(n_nodes), h)
-
-    @classmethod
-    def from_spacing(cls, d: DispersionRelation, n_nodes: int, h: float) -> "OmegaGrid":
-        if not h > 0.0:
-            raise ValueError(f"spacing must be positive, got {h}")
-        grid = object.__new__(cls)
-        grid._init_from_spacing(d, int(n_nodes), float(h))
-        return grid
-
-    def _init_from_spacing(self, d: DispersionRelation, n_nodes: int, h: float) -> None:
+        n_nodes = int(n_nodes)
+        h = float(omega_max) / (n_nodes - 1)
         omega = np.arange(n_nodes, dtype=float) * h
         r = np.array([invert_omega(d, w) for w in omega])
         # the origin node carries no measure and no interactions, so its mho
@@ -185,19 +175,12 @@ class KernelTable:
         return int(self.i.size)
 
 
-def _chi_mask(grid: OmegaGrid, kw: KernelWeights) -> np.ndarray:
-    r = grid.r
-    if math.isfinite(kw.cutoff_n):
-        return (r >= 1.0 / kw.cutoff_n) & (r < kw.cutoff_n)
-    mask = np.ones(grid.n_nodes, dtype=bool)
-    mask[0] = False  # the origin node carries no interactions
-    return mask
+def _l_intervals(
+    i: int, j: np.ndarray, n: int, band: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """First admissible l and the number of admissible l for pairs (i, j), i <= j.
 
-
-def _class_valid(i: int, j, l_arr: np.ndarray, n: int) -> np.ndarray:
-    """Whole-class retention test for integration triples (i, j, l), i <= j.
-
-    ``j`` and ``l_arr`` may be any arrays that broadcast against each other.
+    ``band`` = (c0, c1) is the index range of the radius band, c0 >= 1.
 
     An unordered triple {x >= y >= z} stands for three resonance pairings
     whose fourth indices are x+y-z, x+z-y and y+z-x.  Convexity of test
@@ -206,15 +189,24 @@ def _class_valid(i: int, j, l_arr: np.ndarray, n: int) -> np.ndarray:
     dropped entirely: the criterion is that the largest fourth index x+y-z
     stays below n.  Keeping a partial class would expose bare negative
     brackets and break the monotonicity of convex functionals.
+
+    With s = i + j and m = s - l >= 1, that criterion is one interval in l:
+
+    - for l <= i the largest fourth index is m, so l >= s - n + 1;
+    - for l > i it is l + j - i, so l <= n - 1 - (j - i);
+    - each bound also holds on the other side (j <= n - 1 gives
+      s - n + 1 <= i and n - 1 - (j - i) >= i), so the union of the two
+      sides is [max(1, s-n+1, c0), min(s-1, n-1-(j-i), c1)].
     """
-    m = i + j - l_arr
-    largest = np.where(l_arr <= i, m, l_arr + j - i)
-    return (m >= 1) & (largest <= n - 1)
+    c0, c1 = band
+    s = i + j
+    lo = np.maximum(s - n + 1, c0)
+    hi = np.minimum(np.minimum(s - 1, n - 1 - (j - i)), c1)
+    return lo, np.maximum(hi - lo + 1, 0)
 
 
 def build_kernel_table(
     kw: KernelWeights,
-    d: DispersionRelation,
     grid: OmegaGrid,
     max_bytes: int = 512 * 2 ** 20,
 ) -> KernelTable:
@@ -222,36 +214,31 @@ def build_kernel_table(
 
     W_ijl = c_q * mho(r_m) * min(r_i, r_j, r_l, r_m, n) / (r_i r_j r_l),
     restricted by the radius band [1/n, n) on the three integration indices
-    and by whole-class domain truncation (see _class_valid).  Entries with a
+    and by whole-class domain truncation (see _l_intervals).  Entries with a
     zero weight (any index at the origin) are pruned.
 
     Raises MemoryBudgetError, before allocating, if the entry arrays would
     exceed ``max_bytes``.
     """
-    if grid.d is not d:
-        # allow equal-valued dispersions, but insist they agree numerically
-        for probe in (0.3, 1.0, 2.5):
-            if not math.isclose(eval_omega(grid.d, probe), eval_omega(d, probe),
-                                rel_tol=1e-12):
-                raise ValueError("grid was built with a different dispersion")
-
     n = grid.n_nodes
     r = grid.r
     mho = grid.mho
-    chi = _chi_mask(grid, kw)
     ncut = kw.cutoff_n
-    l_all = np.arange(1, n, dtype=np.int64)
-    chi_l = chi[1:]
+    if math.isfinite(ncut):
+        # the grid's radii increase strictly, so the band is an index range
+        band = (int(np.searchsorted(r, 1.0 / ncut)),
+                int(np.searchsorted(r, ncut)) - 1)
+    else:
+        band = (1, n - 1)  # the origin node carries no interactions
+    rows = range(band[0], band[1] + 1)
 
     def row(i: int):
-        """Admissible j >= i of row i and the (j, l) validity mask over them."""
-        j_adm = i + np.flatnonzero(chi[i:])
-        return j_adm, _class_valid(i, j_adm[:, None], l_all[None, :], n) & chi_l
-
-    rows = [i for i in range(1, n) if chi[i]]
+        """Partners j >= i of row i, with their first l and l counts."""
+        j = np.arange(i, band[1] + 1, dtype=np.int64)
+        return (j, *_l_intervals(i, j, n, band))
 
     # First pass: count entries so the budget check precedes allocation.
-    count = sum(int(np.count_nonzero(row(i)[1])) for i in rows)
+    count = sum(int(row(i)[2].sum()) for i in rows)
     bytes_needed = count * (4 * 4 + 8 * 2 + 1 + 8)
     if bytes_needed > max_bytes:
         raise MemoryBudgetError(
@@ -269,16 +256,16 @@ def build_kernel_table(
 
     pos = 0
     for i in rows:
-        j_adm, valid = row(i)
-        j_idx, l_idx = np.nonzero(valid)  # (j, l) order
-        j_v = j_adm[j_idx]
-        l_v = l_all[l_idx]
+        j, lo, cnt = row(i)
+        k = int(cnt.sum())
+        # (j, l) order: each pair's l run from lo up
+        j_v = np.repeat(j, cnt)
+        l_v = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(k)
         m_v = i + j_v - l_v
         least = np.minimum(np.minimum(r[l_v], r[m_v]), np.minimum(r[i], r[j_v]))
         if math.isfinite(ncut):
             np.minimum(least, ncut, out=least)
         w_v = kw.c_q * mho[m_v] * least / (r[i] * r[j_v] * r[l_v])
-        k = l_v.size
         ii[pos:pos + k] = i
         jj[pos:pos + k] = j_v
         ll[pos:pos + k] = l_v
@@ -497,11 +484,7 @@ def evolve(
     return out
 
 
-def transform_f_to_g(
-    d: DispersionRelation,
-    grid: OmegaGrid,
-    f_values: Sequence[float],
-) -> SpectrumState:
+def transform_f_to_g(grid: OmegaGrid, f_values: Sequence[float]) -> SpectrumState:
     """Map a radial density f sampled at the grid radii to g = mho * f * r.
 
     The origin node is set to zero: r = 0 carries no measure and no
@@ -541,7 +524,6 @@ def gaussian_bump(
 
 
 def ring_in_r(
-    d: DispersionRelation,
     grid: OmegaGrid,
     r_center: float,
     width: float,
@@ -551,7 +533,7 @@ def ring_in_r(
     if width <= 0.0 or amplitude < 0.0:
         raise ValueError("width must be positive and amplitude nonnegative")
     f = amplitude * np.exp(-0.5 * ((grid.r - r_center) / width) ** 2)
-    return transform_f_to_g(d, grid, f)
+    return transform_f_to_g(grid, f)
 
 
 def state_from_file(grid: OmegaGrid, path: str) -> SpectrumState:

@@ -35,13 +35,13 @@ def grid8_mid(d_mid) -> OmegaGrid:
 
 
 @pytest.fixture(scope="session")
-def table8_quad(d_quad, grid8_quad):
-    return build_kernel_table(KernelWeights(), d_quad, grid8_quad)
+def table8_quad(grid8_quad):
+    return build_kernel_table(KernelWeights(), grid8_quad)
 
 
 @pytest.fixture(scope="session")
-def table8_mid(d_mid, grid8_mid):
-    return build_kernel_table(KernelWeights(), d_mid, grid8_mid)
+def table8_mid(grid8_mid):
+    return build_kernel_table(KernelWeights(), grid8_mid)
 
 
 @pytest.fixture(scope="session")
@@ -50,8 +50,8 @@ def grid32_quad(d_quad) -> OmegaGrid:
 
 
 @pytest.fixture(scope="session")
-def table32_quad(d_quad, grid32_quad):
-    return build_kernel_table(KernelWeights(), d_quad, grid32_quad)
+def table32_quad(grid32_quad):
+    return build_kernel_table(KernelWeights(), grid32_quad)
 
 
 def random_state(grid: OmegaGrid, rng: np.random.Generator) -> SpectrumState:

@@ -68,7 +68,7 @@ def tables64():
     for alpha in (1.5, 2.0):
         d = DispersionRelation.power_law(alpha)
         grid = OmegaGrid(d, 64, 4.0)
-        out[alpha] = (grid, build_kernel_table(KernelWeights(), d, grid))
+        out[alpha] = (grid, build_kernel_table(KernelWeights(), grid))
     return out
 
 
@@ -200,7 +200,7 @@ def test_criterion_4_cascade_trend():
     t0 = time.monotonic()
     d = DispersionRelation.power_law(2.0)
     grid = OmegaGrid(d, 128, 8.0)
-    table = build_kernel_table(KernelWeights(), d, grid)
+    table = build_kernel_table(KernelWeights(), grid)
     state0 = gaussian_bump(grid, center=4.0, width=0.6, amplitude=1.0)
 
     support = np.flatnonzero(state0.g > 1e-3 * state0.g.max())
@@ -380,7 +380,7 @@ def test_criterion_9_refinement_consistency():
         rhs_levels = []
         for nn in (n, 2 * n - 1, 4 * n - 3):
             grid = OmegaGrid(d, nn, omega_max)
-            table = build_kernel_table(kw, d, grid)
+            table = build_kernel_table(kw, grid)
             g = np.exp(-0.5 * ((grid.omega - 1.6) / 0.6) ** 2)
             g[0] = 0.0
             rhs_levels.append(rhs(table, SpectrumState(g=g, time=0.0, grid=grid)))

@@ -160,7 +160,7 @@ class TestParseConfig:
         grid = cfg.make_grid(d)
         assert grid.n_nodes == 40
         assert grid.omega_max == pytest.approx(4.0)
-        state = cfg.make_initial_state(d, grid)
+        state = cfg.make_initial_state(grid)
         assert state.g.shape == (40,)
         diag_cfg = cfg.make_diagnostics_config()
         assert set(diag_cfg.test_functions) == {"low_pass:2.0", "quadratic"}

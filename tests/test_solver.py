@@ -58,18 +58,11 @@ class TestOmegaGrid:
         assert grid.mho[0] == 0.0
         assert np.all(grid.mho[1:] == 0.5)
 
-    def test_from_spacing(self, d_mid):
-        grid = OmegaGrid.from_spacing(d_mid, 6, 0.25)
-        assert grid.h == 0.25
-        assert grid.omega[-1] == pytest.approx(1.25)
-
     def test_validation(self, d_quad):
         with pytest.raises(ValueError):
             OmegaGrid(d_quad, 1, 4.0)
         with pytest.raises(ValueError):
             OmegaGrid(d_quad, 8, 0.0)
-        with pytest.raises(ValueError):
-            OmegaGrid.from_spacing(d_quad, 8, -0.1)
 
 
 class TestSpectrumState:
@@ -129,7 +122,7 @@ class TestKernelTable:
 
     def test_two_node_grid_single_entry(self, d_quad):
         grid = OmegaGrid(d_quad, 2, 1.0)
-        t = build_kernel_table(KernelWeights(), d_quad, grid)
+        t = build_kernel_table(KernelWeights(), grid)
         assert t.n_entries == 1
         assert (int(t.i[0]), int(t.j[0]), int(t.l[0]), int(t.m[0])) == (1, 1, 1, 1)
         # all radii equal 1: w = c_q * mho(1) * 1 / 1 = c_q / 2
@@ -138,32 +131,37 @@ class TestKernelTable:
     def test_band_can_empty_the_table(self, d_quad):
         # radii {sqrt(2), 2} all fall outside [1/1.2, 1.2)
         grid = OmegaGrid(d_quad, 3, 4.0)
-        t = build_kernel_table(KernelWeights(cutoff_n=1.2), d_quad, grid)
+        t = build_kernel_table(KernelWeights(cutoff_n=1.2), grid)
         assert t.n_entries == 0
         s = SpectrumState(g=np.array([0.0, 1.0, 1.0]), time=0.0, grid=grid)
         assert np.array_equal(rhs(t, s), np.zeros(3))
 
-    def test_rebuild_is_deterministic(self, d_mid, grid8_mid):
-        a = build_kernel_table(KernelWeights(), d_mid, grid8_mid)
-        b = build_kernel_table(KernelWeights(), d_mid, grid8_mid)
+    def test_rebuild_is_deterministic(self, grid8_mid):
+        a = build_kernel_table(KernelWeights(), grid8_mid)
+        b = build_kernel_table(KernelWeights(), grid8_mid)
         for name in ("i", "j", "l", "m", "w", "mult", "coef"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_memory_budget(self, d_quad, grid32_quad):
+    def test_memory_budget(self, grid32_quad):
         with pytest.raises(MemoryBudgetError, match="budget"):
-            build_kernel_table(KernelWeights(), d_quad, grid32_quad, max_bytes=64)
+            build_kernel_table(KernelWeights(), grid32_quad, max_bytes=64)
 
 
 def _table_by_double_loop(kw, grid):
     """Table columns built pair by pair over (i, j), one l vector per pair.
 
-    The builder's original double loop, kept as the oracle for the
-    row-vectorised build_kernel_table: same entries, same order, same
-    floating-point expressions.
+    The builder's original double loop over a boolean radius-band mask and
+    the whole-class test, kept as the oracle for the interval-based
+    build_kernel_table: same entries, same order, same floating-point
+    expressions.
     """
     n = grid.n_nodes
     r, mho = grid.r, grid.mho
-    chi = solver._chi_mask(grid, kw)
+    if math.isfinite(kw.cutoff_n):
+        chi = (r >= 1.0 / kw.cutoff_n) & (r < kw.cutoff_n)
+    else:
+        chi = np.ones(n, dtype=bool)
+        chi[0] = False
     l_all = np.arange(1, n, dtype=np.int64)
     cols = {name: [] for name in ("i", "j", "l", "m", "w", "mult")}
     for i in range(1, n):
@@ -190,16 +188,20 @@ def _table_by_double_loop(kw, grid):
     return out
 
 
-@pytest.mark.parametrize("n_nodes", [8, 33, 64])
+@pytest.mark.parametrize("n_nodes", [2, 3, 8, 33, 64])
 @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
-@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
 def test_table_matches_double_loop_oracle(alpha, cutoff_n, n_nodes):
     d = DispersionRelation.power_law(alpha)
     grid = OmegaGrid(d, n_nodes, 8.0)
     kw = KernelWeights(cutoff_n=cutoff_n)
-    table = build_kernel_table(kw, d, grid)
+    table = build_kernel_table(kw, grid)
     want = _table_by_double_loop(kw, grid)
-    assert table.n_entries == want["i"].size > 0
+    assert table.n_entries == want["i"].size
+    # (i, i, i) is admissible for every node in the band, so only a band
+    # that holds no node may leave the table empty
+    in_band = (grid.r[1:] >= 1.0 / cutoff_n) & (grid.r[1:] < cutoff_n)
+    assert (table.n_entries > 0) == bool(in_band.any())
     for name, expected in want.items():
         assert np.array_equal(getattr(table, name), expected), name
 
@@ -277,12 +279,12 @@ class TestTransforms:
     def test_point_value(self, d_quad):
         # f = 3 at r = 2: g = mho * f * r = 0.5 * 3 * 2 = 3
         grid = OmegaGrid(d_quad, 3, 8.0)  # omega = 0, 4, 8 -> r = 0, 2, sqrt(8)
-        s = transform_f_to_g(d_quad, grid, [0.0, 3.0, 0.0])
+        s = transform_f_to_g(grid, [0.0, 3.0, 0.0])
         assert s.g[1] == pytest.approx(3.0, rel=1e-14)
 
-    def test_round_trip(self, d_mid, grid8_mid):
+    def test_round_trip(self, grid8_mid):
         f = np.array([0.0, 0.3, 1.1, 0.0, 2.0, 0.5, 0.25, 0.1])
-        s = transform_f_to_g(d_mid, grid8_mid, f)
+        s = transform_f_to_g(grid8_mid, f)
         back = transform_g_to_f(s)
         assert np.allclose(back, f, rtol=1e-12, atol=0.0)
         assert s.g[0] == 0.0
@@ -293,16 +295,16 @@ class TestTransforms:
 
         grid = OmegaGrid(d_mid, 2001, 25.0)
         f_of_r = lambda r: np.exp(-0.5 * ((r - 2.0) / 0.3) ** 2)
-        s = transform_f_to_g(d_mid, grid, f_of_r(grid.r))
+        s = transform_f_to_g(grid, f_of_r(grid.r))
         mass = float(np.sum(s.g)) * grid.h
         expected, _ = quad(lambda r: f_of_r(r) * r * r, 0.0, grid.r[-1])
         assert mass == pytest.approx(expected, rel=1e-4)
 
-    def test_validation(self, d_mid, grid8_mid):
+    def test_validation(self, grid8_mid):
         with pytest.raises(ValueError):
-            transform_f_to_g(d_mid, grid8_mid, [1.0, 2.0])
+            transform_f_to_g(grid8_mid, [1.0, 2.0])
         with pytest.raises(ValueError):
-            transform_f_to_g(d_mid, grid8_mid, -np.ones(8))
+            transform_f_to_g(grid8_mid, -np.ones(8))
 
 
 class TestInitialStates:
@@ -313,8 +315,8 @@ class TestInitialStates:
         assert s.g.max() <= 3.0 + 1e-12
         assert s.g[0] == 0.0
 
-    def test_ring_in_r(self, d_mid, grid32_quad, grid8_mid):
-        s = ring_in_r(d_mid, grid8_mid, r_center=2.0, width=0.4, amplitude=1.0)
+    def test_ring_in_r(self, grid8_mid):
+        s = ring_in_r(grid8_mid, r_center=2.0, width=0.4, amplitude=1.0)
         assert np.all(s.g >= 0.0)
         assert s.g[0] == 0.0
 
@@ -477,7 +479,7 @@ class TestRunGather:
     def test_built_tables(self, alpha, cutoff_n):
         d = DispersionRelation.power_law(alpha)
         grid = OmegaGrid(d, 24, 4.0)
-        table = build_kernel_table(KernelWeights(cutoff_n=cutoff_n), d, grid)
+        table = build_kernel_table(KernelWeights(cutoff_n=cutoff_n), grid)
         assert table.j_heads.size < table.n_entries
         self.assert_matches_product(table, random_state(grid, np.random.default_rng(5)).g)
 
