@@ -177,19 +177,36 @@ def _check_line(name: str, err: float, tol: float) -> Tuple[bool, str]:
     return ok, f"  {'PASS' if ok else 'FAIL'}  {name}: max err {err:.3e} (tol {tol:.1e})"
 
 
+def _finish_verify(command: str, header: str, results: List[Tuple[bool, str]],
+                   out_dir: Optional[str]) -> int:
+    """Print the checks, write <command>.json to out_dir if given; exit code."""
+    print(f"{command}: {header}")
+    for _, line in results:
+        print(line)
+    ok = all(flag for flag, _ in results)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, command.replace("-", "_") + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"passed": ok, "checks": [line.strip() for _, line in results]},
+                      fh, indent=2)
+            fh.write("\n")
+    print(f"{command}: {'all checks passed' if ok else 'FAILURES present'}")
+    return 0 if ok else 1
+
+
 def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
     """Cross-check the kernel closed forms against direct quadrature."""
     d = cfg.make_dispersion()
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.kernel.oracle.tol
-    tail = cfg.kernel.oracle.tail_cut
+    tol = 1e-3  # guarantee 1's quadrature tolerance; the oracle cuts its tail at 1e4
     results = []
 
     # closed form vs quadrature on arbitrary positive quadruples
     err = 0.0
     for _ in range(25):
         radii = rng.uniform(0.2, 4.0, size=4)
-        ref_val = sine_integral_oracle(*radii, tail_cut=tail)
+        ref_val = sine_integral_oracle(*radii)
         err = max(err, abs(four_sine_closed_form(*radii) - ref_val))
     results.append(_check_line("closed form vs quadrature (general)", err, tol))
 
@@ -197,7 +214,7 @@ def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
     err = 0.0
     for _ in range(25):
         r, r1, r2, r3 = resonant_quadruple(d, rng)
-        ref_val = sine_integral_oracle(r1, r2, r3, r, tail_cut=tail)
+        ref_val = sine_integral_oracle(r1, r2, r3, r)
         err = max(err, abs(min_identity(r1, r2, r3, r) - ref_val))
     results.append(_check_line("min identity vs quadrature (resonant)", err, tol))
 
@@ -209,19 +226,8 @@ def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
         err = max(err, abs(val - four_sine_closed_form(r1, r2, r3, r)) / max(1.0, val))
     results.append(_check_line("min identity vs closed form (resonant)", err, 1e-12))
 
-    print(f"verify-kernel: alpha={d.alpha:g}, seed={cfg.seed}, "
-          f"tail_cut={tail:g}")
-    for _, line in results:
-        print(line)
-    ok = all(flag for flag, _ in results)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify_kernel.json"), "w", encoding="utf-8") as fh:
-            json.dump({"passed": ok, "checks": [line.strip() for _, line in results]},
-                      fh, indent=2)
-            fh.write("\n")
-    print(f"verify-kernel: {'all checks passed' if ok else 'FAILURES present'}")
-    return 0 if ok else 1
+    return _finish_verify("verify-kernel", f"alpha={d.alpha:g}, seed={cfg.seed}, "
+                          "tail_cut=10000", results, out_dir)
 
 
 # --- verify-geometry ----------------------------------------------------------
@@ -248,7 +254,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
                                            points_per_experiment=2000,
                                            seed=seed)
         sigma_check(f"cap coverage q={q:g} N={n_caps}", pred, mc, se)
-    n44 = geom.least_covering_caps(0.1, miss_factor=0.1)
+    n44 = geom.least_covering_caps(0.1)
     ok44 = n44 == 44
     results.append((ok44, f"  {'PASS' if ok44 else 'FAIL'}  least caps at q=0.1: "
                           f"{n44} (expected 44)"))
@@ -309,18 +315,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
     sigma_check("manifold quadrature vs mollified MC (alpha=1.5)", got, mc, se,
                 abs_floor=0.01 * abs(got))
 
-    print(f"verify-geometry: seed={seed}")
-    for _, line in results:
-        print(line)
-    ok = all(flag for flag, _ in results)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify_geometry.json"), "w", encoding="utf-8") as fh:
-            json.dump({"passed": ok, "checks": [line.strip() for _, line in results]},
-                      fh, indent=2)
-            fh.write("\n")
-    print(f"verify-geometry: {'all checks passed' if ok else 'FAILURES present'}")
-    return 0 if ok else 1
+    return _finish_verify("verify-geometry", f"seed={seed}", results, out_dir)
 
 
 # --- report -------------------------------------------------------------------

@@ -231,18 +231,16 @@ def cutoff_kernel(
 def resonant_quadruple(
     d: DispersionRelation,
     rng: np.random.Generator,
-    lo: float = 0.1,
-    hi: float = 5.0,
-    max_tries: int = 10_000,
 ) -> tuple[float, float, float, float]:
     """Draw radii (r, r1, r2, r3) with omega(r) + omega(r1) = omega(r2) + omega(r3).
 
-    Three radii are uniform on [lo, hi]; the fourth solves the frequency
-    resonance and the draw is rejected when it falls outside [lo, hi].  These
-    are exactly the quadruples on which the kernel evaluates the four-sine
-    integral.
+    Three radii are uniform on [lo, hi] = [0.1, 5]; the fourth solves the
+    frequency resonance and the draw is rejected when it falls outside
+    [lo, hi], for at most 10,000 draws.  These are exactly the quadruples on
+    which the kernel evaluates the four-sine integral.
     """
-    for _ in range(max_tries):
+    lo, hi = 0.1, 5.0
+    for _ in range(10_000):
         r, r1, r2 = rng.uniform(lo, hi, size=3)
         w3 = eval_omega(d, r) + eval_omega(d, r1) - eval_omega(d, r2)
         if w3 <= 0.0:

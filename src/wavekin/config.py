@@ -12,7 +12,6 @@ config.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -47,7 +46,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DispersionBlock:
-    kind: str = "power_law"
     alpha: float = 2.0
 
 
@@ -58,17 +56,10 @@ class GridBlock:
 
 
 @dataclass(frozen=True)
-class OracleBlock:
-    tail_cut: float = 1e4
-    tol: float = 1e-3
-
-
-@dataclass(frozen=True)
 class KernelBlock:
     c_q: float = DEFAULT_C_Q
     cutoff_n: Optional[float] = None  # None means no truncation
     max_table_mb: float = 512.0
-    oracle: OracleBlock = field(default_factory=OracleBlock)
 
 
 @dataclass(frozen=True)
@@ -161,10 +152,6 @@ class RunConfig:
 # Value checks by dotted key, applied after type coercion to values that are
 # not None.  A message may use {v}, the offending value.
 _RANGES = {
-    "dispersion.kind": (
-        lambda v: v == "power_law",
-        "only 'power_law' is configurable (got {v!r}); custom dispersions "
-        "are a library-level feature"),
     "dispersion.alpha": (
         lambda v: 1.0 < v <= 2.0,
         "must lie in (1, 2], got {v:g}: growth outside that range is not "
@@ -174,8 +161,6 @@ _RANGES = {
     "kernel.c_q": (lambda v: v > 0, "must be positive, got {v:g}"),
     "kernel.cutoff_n": (lambda v: v > 1.0, "must exceed 1, got {v:g}"),
     "kernel.max_table_mb": (lambda v: v > 0, "must be positive, got {v:g}"),
-    "kernel.oracle.tail_cut": (lambda v: v >= 100.0, "must be >= 100, got {v:g}"),
-    "kernel.oracle.tol": (lambda v: v > 0, "must be positive"),
     "initial.preset": (lambda v: v in ("gaussian_bump", "ring", "file"),
                        "unknown preset {v!r} (gaussian_bump, ring, file)"),
     "initial.width": (lambda v: v > 0, "must be positive, got {v:g}"),
@@ -198,17 +183,13 @@ _RANGES = {
 # --- YAML parsing with line tracking -----------------------------------------
 
 
-def _compose_lines(text: str) -> Dict[str, int]:
-    """Map dotted key paths to 1-based source lines, rejecting duplicates."""
+def _load_yaml(text: str) -> Tuple[Any, Dict[str, int]]:
+    """Parse text once: its value, and dotted key paths -> 1-based lines.
+
+    Duplicate keys are rejected from the composed node tree, before its value
+    is constructed exactly as ``yaml.safe_load`` would.
+    """
     lines: Dict[str, int] = {}
-    try:
-        node = yaml.compose(io.StringIO(text))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else None
-        raise ConfigError("<document>", f"not valid YAML: {exc}", line) from exc
-    if node is None:
-        return lines
 
     def walk(n, prefix: str) -> None:
         if isinstance(n, yaml.MappingNode):
@@ -223,8 +204,17 @@ def _compose_lines(text: str) -> Dict[str, int]:
                 lines[path] = key_node.start_mark.line + 1
                 walk(value_node, path)
 
-    walk(node, "")
-    return lines
+    try:
+        loader = yaml.SafeLoader(text)
+        node = loader.get_single_node()
+        if node is None:
+            return None, lines
+        walk(node, "")
+        return loader.construct_document(node), lines
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else None
+        raise ConfigError("<document>", f"not valid YAML: {exc}", line) from exc
 
 
 # YAML 1.1 reads an exponent literal as a string unless its mantissa has a dot
@@ -303,13 +293,7 @@ def _parse_block(cls: type, data: Dict, prefix: str, lines: Dict[str, int]) -> A
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config; all fields have defaults."""
-    lines = _compose_lines(text)
-    try:
-        data = yaml.safe_load(io.StringIO(text))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else None
-        raise ConfigError("<document>", f"not valid YAML: {exc}", line) from exc
+    data, lines = _load_yaml(text)
     if data is None:
         data = {}
     if not isinstance(data, dict):

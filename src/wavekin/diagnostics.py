@@ -96,19 +96,18 @@ def _convexity_violation(phi_vals: np.ndarray) -> float:
     return float(np.min(second)) / scale
 
 
-def _bracket(table, phi: Callable, check_convexity: bool) -> np.ndarray:
-    """phi_l + phi_m - phi_i - phi_j per table entry: the test-function bracket."""
+def _bracket(table, phi: Callable) -> np.ndarray:
+    """phi_l + phi_m - phi_i - phi_j per table entry; rejects non-convex phi."""
     grid = table.grid
     phi_vals = np.asarray(phi(grid.omega), dtype=float)
     if phi_vals.shape != grid.omega.shape:
         raise ValueError("phi must map the frequency grid to one value per node")
-    if check_convexity:
-        worst = _convexity_violation(phi_vals)
-        if worst < -1e-10:
-            raise ValueError(
-                f"test function is not convex on the grid (second difference "
-                f"{worst:.3e} of scale); refusing to report a sign"
-            )
+    worst = _convexity_violation(phi_vals)
+    if worst < -1e-10:
+        raise ValueError(
+            f"test function is not convex on the grid (second difference "
+            f"{worst:.3e} of scale); refusing to report a sign"
+        )
     return (phi_vals[table.l] + phi_vals[table.m]
             - phi_vals[table.i] - phi_vals[table.j])
 
@@ -118,10 +117,10 @@ def production_brackets(table, test_functions: Mapping[str, Callable]) -> Dict[s
 
     Each array holds one float64 per table entry.
     """
-    return {name: _bracket(table, phi, True) for name, phi in test_functions.items()}
+    return {name: _bracket(table, phi) for name, phi in test_functions.items()}
 
 
-def convex_production(table, state, phi: Callable, check_convexity: bool = True) -> float:
+def convex_production(table, state, phi: Callable) -> float:
     """Production of the functional sum(g * phi(omega)) by the interactions.
 
     Computed as sum over table entries of
@@ -131,14 +130,14 @@ def convex_production(table, state, phi: Callable, check_convexity: bool = True)
     negative return can only ever mean a broken kernel table.
     """
     _solver._check_same_grid(table, state)
-    bracket = _bracket(table, phi, check_convexity)
+    bracket = _bracket(table, phi)
     rho = _solver._deposits(table, state.g)
     return float(np.sum(rho * bracket) * table.grid.h)
 
 
 def production_scale(table, state, phi: Callable) -> float:
     """Sum of absolute bracket contributions; the tolerance scale for signs."""
-    bracket = _bracket(table, phi, False)
+    bracket = _bracket(table, phi)
     rho = _solver._deposits(table, state.g)
     return float(np.sum(np.abs(rho * bracket)) * table.grid.h)
 

@@ -124,13 +124,13 @@ class DispersionRelation:
         d.check_assumptions()
         return d
 
-    def check_assumptions(self, r_samples: Optional[np.ndarray] = None) -> None:
+    def check_assumptions(self) -> None:
         """Verify the structural assumptions on a sampled radius grid.
 
         Raises ValueError naming the first violated inequality.  A passing
         check is evidence, not proof: the grid is finite.
         """
-        r = _CHECK_GRID if r_samples is None else np.asarray(r_samples, dtype=float)
+        r = _CHECK_GRID
         w = eval_omega(self, r)
 
         if eval_omega(self, 0.0) != 0.0:

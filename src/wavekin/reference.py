@@ -62,15 +62,15 @@ def mollified_delta_mc(
     integrand: Callable[[np.ndarray], np.ndarray],
     n_samples: int = 8_000_000,
     seed: int = 0,
-    eps_fraction: float = 0.03,
     n_batches: int = 1,
 ) -> Tuple[float, float]:
     """Monte-Carlo manifold integral via a mollified delta of the defect G.
 
     Samples uniformly in the origin-centered ball that contains the manifold,
-    evaluates a Gaussian delta_eps(G(x)) at two widths (eps and eps/2, same
-    samples), and Richardson-extrapolates the O(eps^2) mollification bias to
-    zero.  Returns (estimate, standard error of the extrapolated value).
+    evaluates a Gaussian delta_eps(G(x)) at two widths (eps = 0.03 times the
+    manifold's frequency, and eps/2, on the same samples), and
+    Richardson-extrapolates the O(eps^2) mollification bias to zero.  Returns
+    (estimate, standard error of the extrapolated value).
 
     ``n_batches`` splits the samples into independently seeded streams; the
     result is deterministic for a fixed (seed, n_batches) pair and the spread
@@ -86,16 +86,8 @@ def mollified_delta_mc(
     )
     radius = invert_omega(d, w_total) * 1.02
     volume = 4.0 / 3.0 * math.pi * radius ** 3
-    eps1 = eps_fraction * w_total
+    eps1 = 0.03 * w_total
     eps2 = 0.5 * eps1
-
-    if d.kind == "power_law":
-        alpha = d.alpha
-        def omega_many(r: np.ndarray) -> np.ndarray:
-            return r ** alpha
-    else:
-        def omega_many(r: np.ndarray) -> np.ndarray:
-            return np.vectorize(d.omega_fn, otypes=[float])(r)
 
     n_batches = max(1, int(n_batches))
     per_batch = int(n_samples) // n_batches
@@ -116,7 +108,7 @@ def mollified_delta_mc(
             x = rad * u
             rx = rad[:, 0]
             ry = np.linalg.norm(gamma - x, axis=1)
-            g = omega_many(ry) + omega_many(rx) - w_total
+            g = eval_omega(d, ry) + eval_omega(d, rx) - w_total
             phi = integrand(rx)
             for eps, acc in ((eps1, 1), (eps2, 2)):
                 dens = np.exp(-0.5 * (g / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))

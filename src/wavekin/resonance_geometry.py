@@ -298,11 +298,11 @@ def cap_coverage_expectation(q: float, N: int) -> float:
     return 1.0 - (1.0 - q) ** N
 
 
-def least_covering_caps(q: float, miss_factor: float = 0.1) -> int:
-    """Smallest N with (1-q)**N < q * miss_factor."""
+def least_covering_caps(q: float) -> int:
+    """Smallest N with (1-q)**N < q * 0.1."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"cap fraction q must lie in (0, 1), got {q}")
-    target = q * miss_factor
+    target = q * 0.1
     n = max(1, int(math.log(target) / math.log(1.0 - q)))
     while (1.0 - q) ** n >= target:
         n += 1

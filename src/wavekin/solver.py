@@ -395,21 +395,21 @@ def evolve(
     diagnostics_config: Optional["_diag.DiagnosticsConfig"] = None,
     max_steps: Optional[int] = None,
     safety: float = 0.2,
-    floor_frac: float = 1e-3,
     max_dt: Optional[float] = None,
     method: str = "rk4",
 ):
     """Integrate to t_end with a rate-limited adaptive step.
 
     The step bound is dt <= safety / max_i(|rhs_i| / max(g_i, floor)) with
-    floor = floor_frac * max(g): nodes carrying appreciable density change by
-    at most ~safety per step.  ``max_dt`` caps the step on top of that.
+    floor = 1e-3 * max(g): nodes carrying appreciable density change by at
+    most ~safety per step.  ``max_dt`` caps the step on top of that.
     Diagnostics are recorded at t=0, every ``output_every`` time units (every
     accepted step if 0), and at the end.  The operator is evaluated once per
     state: that evaluation sets dt, is the step's k1 and gives the record its
-    deposits.  Returns a list of (state, record) pairs.  Raises
-    ConservationError if mass or energy drifts by more than 1e-10 relative
-    between the first and last record.
+    deposits.  Returns a list of (state, record) pairs.  Every record's mass
+    and energy are compared with the first record's: ConservationError is
+    raised at the first record where either has drifted by more than 1e-10
+    relative, and names the quantity, the drift and that record's time.
     """
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -423,7 +423,8 @@ def evolve(
     out = []
 
     def record(s: SpectrumState) -> Optional[np.ndarray]:
-        """Append the record of s; return the operator at s if it was evaluated.
+        """Append the record of s and check its drift from the first record;
+        return the operator at s if it was evaluated.
 
         Convex production needs the operator's deposits at s, so with test
         functions the record evaluates it, and the next step reuses that
@@ -432,8 +433,17 @@ def evolve(
         k = rho = None
         if brackets:
             k, rho = _rhs_of_g(table, s.g, deposits=True)
-        out.append((s, _diag.make_record(s, cfg, table=table, deposits=rho,
-                                         brackets=brackets)))
+        rec = _diag.make_record(s, cfg, table=table, deposits=rho, brackets=brackets)
+        out.append((s, rec))
+        first = out[0][1]
+        for name, q0, q1 in (("mass", first.mass, rec.mass),
+                             ("energy", first.energy, rec.energy)):
+            drift = abs(q1 - q0) / max(q0, 1e-300)
+            if drift > 1e-10:
+                raise ConservationError(
+                    f"{name} drifted by {drift:.3e} relative at t={rec.time:g} "
+                    f"(tolerance 1e-10)"
+                )
         return k
 
     r = record(state0)
@@ -456,7 +466,7 @@ def evolve(
         if rmax == 0.0 or gmax == 0.0:
             dt = target - state.time
         else:
-            floor = floor_frac * gmax
+            floor = 1e-3 * gmax
             rate = float(np.max(np.abs(r) / np.maximum(state.g, floor)))
             dt = safety / rate if rate > 0.0 else target - state.time
         if max_dt is not None:
@@ -472,15 +482,6 @@ def evolve(
 
     if out[-1][0] is not state:
         record(state)
-
-    first, last = out[0][1], out[-1][1]
-    for name, q0, q1 in (("mass", first.mass, last.mass),
-                         ("energy", first.energy, last.energy)):
-        drift = abs(q1 - q0) / max(q0, 1e-300)
-        if drift > 1e-10:
-            raise ConservationError(
-                f"{name} drifted by {drift:.3e} relative over the run (tolerance 1e-10)"
-            )
     return out
 
 

@@ -79,7 +79,7 @@ class TestConvexProduction:
         for phi in (lambda w: np.full_like(np.asarray(w, float), 3.0),
                     lambda w: 2.0 * np.asarray(w, float) - 1.0):
             # the bracket vanishes node by node on resonant quadruples
-            assert convex_production(table8_mid, s, phi, check_convexity=False) == 0.0
+            assert convex_production(table8_mid, s, phi) == 0.0
 
     @pytest.mark.parametrize("which", ["quad", "mid"])
     def test_nonnegative_for_convex_functions(self, which, request):
@@ -114,14 +114,6 @@ class TestConvexProduction:
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
         with pytest.raises(ValueError, match="not convex"):
             convex_production(table8_quad, s, lambda w: np.sin(np.asarray(w, float)))
-
-    def test_check_can_be_disabled(self, table8_quad, grid8_quad):
-        s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
-        val = convex_production(
-            table8_quad, s, lambda w: np.sin(np.asarray(w, float)),
-            check_convexity=False,
-        )
-        assert np.isfinite(val)
 
     def test_phi_must_return_grid_shaped_values(self, table8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)

@@ -5,6 +5,7 @@ triple-loop oracle written directly from the four-point stencil; the table
 weights are validated entry by entry against the scalar kernel function.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -435,18 +436,54 @@ class TestEvolve:
         times = np.array([st.time for st, _ in out])
         assert np.all(np.diff(times) <= 1e-4 * (1.0 + 1e-9))
 
-    def test_energy_breach_raises(self, table32_quad, grid32_quad):
+    @staticmethod
+    def m_shifted(t):
         # shifting every fourth index down by one keeps each deposit's
         # (-rho, -rho, +rho, +rho) stencil, so mass is still conserved, but
         # the frequencies no longer balance, so energy is not
-        t = table32_quad
         keep = t.m >= 2
-        broken = KernelTable(
+        return KernelTable(
             grid=t.grid, kw=t.kw, i=t.i[keep], j=t.j[keep], l=t.l[keep],
             m=t.m[keep] - 1, w=t.w[keep], mult=t.mult[keep], coef=t.coef[keep])
+
+    def test_energy_breach_raises(self, table32_quad, grid32_quad):
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
         with pytest.raises(ConservationError, match="energy drifted"):
-            evolve(broken, s, t_end=0.01)
+            evolve(self.m_shifted(table32_quad), s, t_end=0.01)
+
+    def test_breach_raises_at_the_first_breaching_record(
+            self, table32_quad, grid32_quad, monkeypatch):
+        # energy drifts by about 1.15 relative per unit time here, so with
+        # steps of 2e-11 a few records pass before one breaches 1e-10
+        broken = self.m_shifted(table32_quad)
+        s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
+        make_record = solver._diag.make_record
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(make_record(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(solver._diag, "make_record", spy)
+        with pytest.raises(ConservationError, match="energy drifted") as exc:
+            evolve(broken, s, t_end=1e-9, max_dt=2e-11)
+        e0 = seen[0].energy
+        drifts = [abs(rec.energy - e0) / e0 for rec in seen]
+        assert len(seen) > 2 and drifts[-1] > 1e-10
+        assert max(drifts[:-1]) <= 1e-10
+        assert f"at t={seen[-1].time:g} " in str(exc.value)
+        n_breached = len(seen)
+
+        # the same run, with each record's energy pinned to the first's,
+        # never breaches and records every step up to t_end
+        def pinned(*args, **kwargs):
+            seen.append(make_record(*args, **kwargs))
+            return dataclasses.replace(seen[-1], energy=seen[0].energy)
+
+        seen.clear()
+        monkeypatch.setattr(solver._diag, "make_record", pinned)
+        evolve(broken, s, t_end=1e-9, max_dt=2e-11)
+        assert n_breached < len(seen)
 
     def test_validation(self, table8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
