@@ -98,9 +98,8 @@ def _effective(cfg: RunConfig, seed: int, out_dir: str, dump: bool) -> RunConfig
 
 def _series_header(cfg: RunConfig, n_nodes: int) -> List[str]:
     cols = ["time", "mass", "energy"]
-    cols += [f"band_energy_R{R:g}" for R in cfg.diagnostics.band_radii]
-    cols += [f"low_mass_d{dd:g}" for dd in cfg.diagnostics.deltas]
-    cols += [f"production_{tid}" for tid in cfg.diagnostics.test_functions]
+    for names in cfg.diagnostic_columns().values():
+        cols += names
     if cfg.output.dump_spectrum:
         cols += [f"g_{i}" for i in range(n_nodes)]
     return cols
@@ -128,7 +127,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         output_every=cfg.integrator.output_every,
         diagnostics_config=cfg.make_diagnostics_config(),
         max_steps=cfg.integrator.max_steps,
-        safety=cfg.integrator.safety,
         max_dt=cfg.integrator.dt0,
         method=cfg.integrator.method,
     )
@@ -172,9 +170,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 # --- verify-kernel ------------------------------------------------------------
 
 
+def _check(ok: bool, name: str, detail: str) -> Tuple[bool, str]:
+    """One verify check: its verdict and its PASS/FAIL line."""
+    return ok, f"  {'PASS' if ok else 'FAIL'}  {name}: {detail}"
+
+
 def _check_line(name: str, err: float, tol: float) -> Tuple[bool, str]:
-    ok = err <= tol
-    return ok, f"  {'PASS' if ok else 'FAIL'}  {name}: max err {err:.3e} (tol {tol:.1e})"
+    return _check(err <= tol, name, f"max err {err:.3e} (tol {tol:.1e})")
 
 
 def _finish_verify(command: str, header: str, results: List[Tuple[bool, str]],
@@ -222,7 +224,7 @@ def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
     err = 0.0
     for _ in range(10000):
         r, r1, r2, r3 = resonant_quadruple(d, rng)
-        val = min_identity(r1, r2, r3, r)
+        val = (np.pi / 4.0) * min(r1, r2, r3, r)
         err = max(err, abs(val - four_sine_closed_form(r1, r2, r3, r)) / max(1.0, val))
     results.append(_check_line("min identity vs closed form (resonant)", err, 1e-12))
 
@@ -241,11 +243,9 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
 
     def sigma_check(name: str, predicted: float, mc: float, stderr: float,
                     n_sigma: float = 4.0, abs_floor: float = 1e-12) -> None:
-        band = n_sigma * stderr + abs_floor
-        ok = abs(predicted - mc) <= band
-        results.append((ok, f"  {'PASS' if ok else 'FAIL'}  {name}: "
-                            f"predicted {predicted:.6g}, mc {mc:.6g} "
-                            f"+/- {stderr:.2g}"))
+        ok = abs(predicted - mc) <= n_sigma * stderr + abs_floor
+        results.append(_check(ok, name, f"predicted {predicted:.6g}, mc {mc:.6g} "
+                                        f"+/- {stderr:.2g}"))
 
     # cap coverage: closed-form expectation vs simulated experiments
     for q, n_caps in ((0.05, 20), (0.1, 44), (0.2, 10)):
@@ -255,9 +255,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
                                            seed=seed)
         sigma_check(f"cap coverage q={q:g} N={n_caps}", pred, mc, se)
     n44 = geom.least_covering_caps(0.1)
-    ok44 = n44 == 44
-    results.append((ok44, f"  {'PASS' if ok44 else 'FAIL'}  least caps at q=0.1: "
-                          f"{n44} (expected 44)"))
+    results.append(_check(n44 == 44, "least caps at q=0.1", f"{n44} (expected 44)"))
 
     # cone volumes vs Monte Carlo
     for R, rho in ((1.0, 0.0), (1.0, 0.4), (2.0, 1.5)):
@@ -268,8 +266,8 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
     # expanded radius fixed point check
     er = geom.expanded_radius(0.1, 1.0)
     ok_er = abs(er.value - 1.1658839174214948) <= 1e-12 and er.exceeds
-    results.append((ok_er, f"  {'PASS' if ok_er else 'FAIL'}  expanded radius "
-                           f"(0.1, 1): {er.value:.10f}, exceeds={er.exceeds}"))
+    results.append(_check(ok_er, "expanded radius (0.1, 1)",
+                          f"{er.value:.10f}, exceeds={er.exceeds}"))
 
     # pair-production root: residual of the defining equation
     err = 0.0
@@ -284,7 +282,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
                 err = max(err, res)
         results.append(_check_line("pair-production root residual", err, 1e-10))
     except (geom.BracketError, ArithmeticError) as exc:
-        results.append((False, f"  FAIL  pair-production root: {exc}"))
+        results.append(_check(False, "pair-production root", str(exc)))
 
     # resonance-manifold quadrature vs independent references
     rng = np.random.default_rng(seed + 2)
@@ -353,6 +351,9 @@ def _records_from_csv(path: str) -> List[diag.DiagnosticsRecord]:
 def cmd_report(series_path: str, out_dir: Optional[str],
                discard_fraction: float = 0.2) -> int:
     """Summarize a series.csv into a cascade report (stdout, plus JSON file)."""
+    if not 0.0 <= discard_fraction < 1.0:
+        raise ConfigError("--discard-fraction",
+                          f"must lie in [0, 1), got {discard_fraction}")
     if not os.path.exists(series_path):
         raise ConfigError("series", f"no such file: {series_path}")
     records = _records_from_csv(series_path)
@@ -433,10 +434,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"wavekin: {exc}", file=sys.stderr)
         return 2
-    except (StiffnessError, ConservationError, MemoryBudgetError) as exc:
-        print(f"wavekin: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (StiffnessError, ConservationError, MemoryBudgetError, OSError,
+            ValueError) as exc:
         print(f"wavekin: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Any, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -77,7 +77,6 @@ class IntegratorBlock:
     t_end: float = 1.0
     output_every: float = 0.0
     dt0: Optional[float] = None        # optional ceiling on the adaptive step
-    safety: float = 0.2
     max_steps: Optional[int] = None
     method: str = "rk4"
 
@@ -140,6 +139,15 @@ class RunConfig:
             test_functions=test_function_registry(self.diagnostics.test_functions),
         )
 
+    def diagnostic_columns(self) -> Dict[str, List[str]]:
+        """The series.csv column names that each diagnostics key adds, in order."""
+        blk = self.diagnostics
+        return {
+            "diagnostics.band_radii": [f"band_energy_R{R:g}" for R in blk.band_radii],
+            "diagnostics.deltas": [f"low_mass_d{dd:g}" for dd in blk.deltas],
+            "diagnostics.test_functions": [f"production_{t}" for t in blk.test_functions],
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain nested dict for YAML output; tuples become lists."""
         def plain(x):
@@ -168,7 +176,6 @@ _RANGES = {
     "integrator.t_end": (lambda v: v >= 0, "must be nonnegative, got {v:g}"),
     "integrator.output_every": (lambda v: v >= 0, "must be nonnegative"),
     "integrator.dt0": (lambda v: v > 0, "must be positive"),
-    "integrator.safety": (lambda v: 0 < v <= 1.0, "must lie in (0, 1], got {v:g}"),
     "integrator.max_steps": (lambda v: v >= 1, "must be >= 1"),
     "integrator.method": (lambda v: v in ("rk4", "euler"),
                           "must be rk4 or euler, got {v!r}"),
@@ -309,6 +316,11 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("diagnostics.test_functions", str(exc),
                           lines.get("diagnostics.test_functions")) from exc
+    for key, cols in cfg.diagnostic_columns().items():
+        dup = next((c for c in cols if cols.count(c) > 1), None)
+        if dup is not None:
+            raise ConfigError(key, f"two entries give series.csv the same column {dup!r}",
+                              lines.get(key))
     return cfg
 
 

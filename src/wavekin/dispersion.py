@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
+    "BracketError",
     "DispersionRelation",
     "eval_omega",
     "eval_mho",
@@ -240,27 +241,43 @@ def invert_omega(d: DispersionRelation, w: float) -> float:
         hi *= 2.0
     else:
         raise ValueError(f"could not bracket omega = {w:g}")
-    lo = 0.0
 
-    # bisect the bracket down to machine width before checking the residual;
-    # stopping on the frequency residual alone can leave the radius off by
-    # ~tol/omega'(r), which is too loose where omega is flat
-    tol = 1e-12 * max(1.0, w)
+    r = _bisect(lambda x: eval_omega(d, x) - w, 0.0, hi)
+    resid = eval_omega(d, r) - w
+    if abs(resid) > 1e-12 * max(1.0, w):
+        raise ValueError(f"bisection failed to invert omega at w={w:g} (residual {resid:g})")
+    return r
+
+
+class BracketError(ValueError):
+    """A root bracket failed to change sign; endpoints are in the message."""
+
+
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of fn in [lo, hi], given fn(lo) <= 0 <= fn(hi).
+
+    The bracket is halved down to machine width, 1e-16 * max(1e-6, |hi|),
+    before the midpoint is returned: a stop on the residual alone can leave
+    the root off by ~residual/fn'(root), which is too loose where fn is flat.
+    """
+    flo, fhi = fn(lo), fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo > 0.0 or fhi < 0.0:
+        raise BracketError(
+            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = eval_omega(d, mid)
-        if fm == w:
+        fm = fn(mid)
+        if fm == 0.0:
             return mid
-        if fm < w:
+        if fm < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * max(1e-6, hi):
+        if hi - lo <= 1e-16 * max(1e-6, abs(hi)):
             break
-    r = 0.5 * (lo + hi)
-    if abs(eval_omega(d, r) - w) > tol:
-        raise ValueError(
-            f"bisection failed to invert omega at w={w:g} (residual "
-            f"{eval_omega(d, r) - w:g})"
-        )
-    return r
+    return 0.5 * (lo + hi)

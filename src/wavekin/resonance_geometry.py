@@ -31,7 +31,14 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from wavekin.dispersion import DispersionRelation, eval_mho, eval_omega, invert_omega
+from wavekin.dispersion import (
+    BracketError,
+    DispersionRelation,
+    _bisect,
+    eval_mho,
+    eval_omega,
+    invert_omega,
+)
 
 __all__ = [
     "PointSet3",
@@ -50,47 +57,7 @@ __all__ = [
 _ORIGIN_EPS = 1e-12
 
 
-class BracketError(ValueError):
-    """A root bracket failed to change sign; endpoints are in the message."""
-
-
-def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Plain bisection; assumes fn(lo) <= 0 <= fn(hi) up to rounding."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
-        raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 # --- point sets and collision-region iteration -------------------------------
-
-
-def _kd_tree(points: np.ndarray):
-    """Nearest-neighbour index of the points, or None when there are none.
-
-    SciPy is imported here, not at module level, so that importing the
-    package (and running ``simulate``) never loads it.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points) if points.shape[0] else None
 
 
 class PointSet3:
@@ -126,7 +93,11 @@ class PointSet3:
         self.tol = float(tol) if tol is not None else 1e-3 * scale
         if self.tol <= 0.0:
             raise ValueError(f"membership tolerance must be positive, got {self.tol}")
-        self._tree = _kd_tree(self.points)
+        # SciPy is imported here, not at module level, so that importing the
+        # package (and running ``simulate``) never loads it
+        from scipy.spatial import cKDTree
+
+        self._tree = cKDTree(self.points) if self.points.shape[0] else None
 
     @property
     def n_points(self) -> int:
@@ -160,13 +131,7 @@ class PointSet3:
 
     def with_points_added(self, new_points: np.ndarray) -> "PointSet3":
         new_points = np.asarray(new_points, dtype=float).reshape(-1, 3)
-        merged = np.vstack([self.points, new_points]) if new_points.size else self.points
-        out = PointSet3.__new__(PointSet3)
-        out.points = merged
-        out.generator = self.generator
-        out.tol = self.tol
-        out._tree = _kd_tree(merged)
-        return out
+        return PointSet3(np.vstack([self.points, new_points]), self.generator, self.tol)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n members: uniformly from the ball, uniformly among points."""

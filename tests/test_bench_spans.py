@@ -34,3 +34,10 @@ def test_span_target_resolves(module_name, attr, key):
         owner = getattr(owner, cls[0])
     target = vars(owner).get(name)
     assert callable(target), f"{module_name}.{attr} ({key}) does not resolve"
+
+
+def test_traced_table_reads_resolve(table8_quad):
+    # trace mode records the interaction table's size from these attributes
+    tracer = _child.Tracer()
+    tracer._note_table(table8_quad)
+    assert tracer.table["entries"] == table8_quad.n_entries

@@ -20,6 +20,7 @@ import yaml
 import wavekin
 from wavekin.cli import main
 from wavekin.config import ConfigError, RunConfig, load_config_file, parse_config
+from wavekin.solver import ring_in_r
 
 MINI_YAML = """
 dispersion:
@@ -121,10 +122,35 @@ class TestParseConfig:
         ("seed: 1\nthreads: 2\n", 2),
         ("dispersion:\n  alpha: 1.5\n  kind: power_law\n", 3),
         ("kernel:\n  oracle:\n    tol: 1e-3\n", 2),
+        ("integrator:\n  t_end: 0.5\n  safety: 0.5\n", 3),
     ])
     def test_removed_keys_are_unknown(self, text, line):
         with pytest.raises(ConfigError, match=f"line {line}, .*unknown key"):
             parse_config(text)
+
+    @pytest.mark.parametrize("text, key, column", [
+        ("diagnostics:\n  deltas: [0.5]\n  band_radii: [1.0000001, 1.0000002]\n",
+         "diagnostics.band_radii", "band_energy_R1"),
+        ("diagnostics:\n  band_radii: [1.0]\n  deltas: [0.5, 0.5]\n",
+         "diagnostics.deltas", "low_mass_d0.5"),
+        ("diagnostics:\n  deltas: []\n  test_functions: [quadratic, quadratic]\n",
+         "diagnostics.test_functions", "production_quadratic"),
+    ])
+    def test_repeated_series_column_rejected(self, text, key, column):
+        # series.csv would hold two columns of one name, and the cascade
+        # report one of them
+        with pytest.raises(ConfigError, match=f"line 3, key '{key}'.*'{column}'"):
+            parse_config(text)
+
+    def test_ring_preset_builds_ring_in_r(self):
+        cfg = parse_config("grid:\n  n_nodes: 16\ninitial:\n  preset: ring\n")
+        grid = cfg.make_grid(cfg.make_dispersion())
+        want = ring_in_r(grid, 0.5 * grid.r[-1], 0.1 * grid.r[-1], 1.0)
+        assert np.array_equal(cfg.make_initial_state(grid).g, want.g)
+        cfg = parse_config("grid:\n  n_nodes: 16\ninitial:\n  preset: ring\n"
+                           "  r_center: 0.7\n  width: 0.3\n  amplitude: 2.5\n")
+        want = ring_in_r(grid, 0.7, 0.3, 2.5)
+        assert np.array_equal(cfg.make_initial_state(grid).g, want.g)
 
     def test_type_rules_follow_the_schema(self):
         for text, key in (("output:\n  dump_spectrum: 1\n", "dump_spectrum"),
@@ -257,6 +283,13 @@ class TestSimulateCommand:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_removed_safety_key_exits_2(self, tmp_path, clean_env, capsys):
+        cfg = tmp_path / "safety.yaml"
+        cfg.write_text("integrator:\n  t_end: 0.5\n  safety: 0.5\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 3, key 'integrator.safety': unknown key" in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, tmp_path, clean_env, capsys):
         # a 1-byte table budget cannot hold any grid: MemoryBudgetError -> 1
         cfg = tmp_path / "tiny.yaml"
@@ -351,6 +384,15 @@ class TestReportCommand:
         on_disk = json.loads((rep_dir / "report.json").read_text())
         assert on_disk == json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("fraction", ["1.5", "nan"])
+    def test_discard_fraction_outside_unit_interval_exits_2(self, tmp_path, clean_env,
+                                                           capsys, fraction):
+        series = tmp_path / "series.csv"
+        series.write_text("time,mass,energy\n0.1,1.0,2.0\n0.2,1.0,2.0\n")
+        rc = main(["report", str(series), "--discard-fraction", fraction])
+        assert rc == 2
+        assert "--discard-fraction" in capsys.readouterr().err
+
     def test_report_missing_series_is_a_usage_error(self, tmp_path, clean_env, capsys):
         rc = main(["report", str(tmp_path / "none.csv")])
         assert rc == 2
@@ -396,6 +438,30 @@ class TestVerifyCommands:
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "vk" / "verify_kernel.json").is_file()
+
+    def test_verify_kernel_reports_a_min_identity_violation(self, tmp_path, clean_env,
+                                                            capsys, monkeypatch):
+        # the third check's sampler yields one quadruple outside the
+        # (pi/4)*min cone (max + min > mid + mid); quadrature is swapped for
+        # the closed form to keep the run short
+        import wavekin.cli as cli
+
+        calls = []
+
+        def quadruple(d, rng):
+            calls.append(1)
+            return (0.9, 0.7, 2.1, 1.3) if len(calls) == 30 else (1.0, 1.0, 1.0, 1.0)
+
+        monkeypatch.setattr(cli, "resonant_quadruple", quadruple)
+        monkeypatch.setattr(cli, "sine_integral_oracle", cli.four_sine_closed_form)
+        rc = main(["verify-kernel", "--seed", "1", "--out", str(tmp_path / "vk")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "  FAIL  min identity vs closed form (resonant)" in out
+        assert out.count("PASS") == 2
+        report = json.loads((tmp_path / "vk" / "verify_kernel.json").read_text())
+        assert report["passed"] is False
+        assert report["checks"][2].startswith("FAIL  min identity vs closed form")
 
     def test_verify_geometry_passes(self, tmp_path, clean_env, capsys):
         rc = main(["verify-geometry", "--seed", "1"])

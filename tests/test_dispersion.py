@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavekin.dispersion import (
+    BracketError,
     DispersionRelation,
+    _bisect,
     eval_mho,
     eval_omega,
     invert_omega,
@@ -132,6 +134,22 @@ class TestInvertOmega:
             # at an absolute bracket width of 1e-22 when r < 1e-6
             bound = 4.5e-16 + 2.0 ** -54 * abs(math.log(w)) + 1e-22 / r
             assert abs(r - invert_omega(bisected, w)) <= bound * r, w
+
+
+class TestBisect:
+    @pytest.mark.parametrize("root", [1e-5, 1e-3, 0.3, 7.0])
+    def test_roots_below_one_keep_relative_precision(self, root):
+        # the bracket shrinks to 1e-16 * max(1e-6, |hi|), not to an absolute
+        # 1e-16, so a root of 1e-5 is not left 1e-11 off in relative terms
+        x = _bisect(lambda t: t - root, 0.0, 1.5 * root)
+        assert abs(x - root) <= 1e-15 * root
+
+    def test_exact_top_of_the_bracket_is_returned(self):
+        assert _bisect(lambda t: t * t - 4.0, 0.0, 2.0) == 2.0
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(BracketError, match="no sign change"):
+            _bisect(lambda t: t + 1.0, 0.0, 1.0)
 
 
 class TestAssumptions:

@@ -7,12 +7,11 @@ the (1 - (1-q)^N) covering law, and the alpha = 2 spreading root sqrt(3)
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from wavekin.dispersion import DispersionRelation, eval_mho, eval_omega
+from wavekin.dispersion import DispersionRelation, eval_omega
 from wavekin.reference import (
     cap_coverage_mc,
     mollified_delta_mc,

@@ -20,7 +20,7 @@ from wavekin.diagnostics import (
     kinked_low_pass,
     quadratic_test,
 )
-from wavekin.dispersion import DispersionRelation, eval_omega
+from wavekin.dispersion import DispersionRelation
 from wavekin.solver import (
     ConservationError,
     KernelTable,
