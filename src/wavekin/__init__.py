@@ -1,6 +1,6 @@
 """Conservative spectral solver for the isotropic 4-wave kinetic equation.
 
-The package is organized around six pieces:
+The package is organized around seven pieces:
 
 - ``dispersion``: convex radial dispersion relations omega(|k|) and the
   derived weight mho = |k| / omega'(|k|).
@@ -13,6 +13,8 @@ The package is organized around six pieces:
   production, and cascade trend reports.
 - ``resonance_geometry``: collision-region iteration, sphere-cap covering
   statistics, the spreading root, and quadrature over resonance manifolds.
+- ``reference``: independent Monte-Carlo and closed-form oracles that the
+  verify commands and the acceptance tests compare against.
 - ``config`` / ``cli``: reproducible batch front end.
 """
 

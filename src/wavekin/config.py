@@ -78,7 +78,6 @@ class IntegratorBlock:
     output_every: float = 0.0
     dt0: Optional[float] = None        # optional ceiling on the adaptive step
     max_steps: Optional[int] = None
-    method: str = "rk4"
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,6 @@ _RANGES = {
     "integrator.output_every": (lambda v: v >= 0, "must be nonnegative"),
     "integrator.dt0": (lambda v: v > 0, "must be positive"),
     "integrator.max_steps": (lambda v: v >= 1, "must be >= 1"),
-    "integrator.method": (lambda v: v in ("rk4", "euler"),
-                          "must be rk4 or euler, got {v!r}"),
     "diagnostics.band_radii": (lambda v: all(x > 0 for x in v),
                                "radii must be positive"),
     "diagnostics.deltas": (lambda v: all(x >= 0 for x in v), "must be nonnegative"),

@@ -25,7 +25,6 @@ __all__ = [
     "band_energy",
     "low_mass",
     "convex_production",
-    "production_scale",
     "production_brackets",
     "make_record",
     "cascade_report",
@@ -120,55 +119,39 @@ def production_brackets(table, test_functions: Mapping[str, Callable]) -> Dict[s
     return {name: _bracket(table, phi) for name, phi in test_functions.items()}
 
 
-def convex_production(table, state, phi: Callable) -> float:
-    """Production of the functional sum(g * phi(omega)) by the interactions.
+def convex_production(table, state, phi: Callable) -> Tuple[float, float]:
+    """Production of the functional sum(g * phi(omega)), and its scale.
 
-    Computed as sum over table entries of
-    mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j].
-    For convex phi the result is nonnegative up to rounding; for affine phi
-    the bracket vanishes node by node.  Non-convex phi is rejected so that a
-    negative return can only ever mean a broken kernel table.
+    The production is the sum over table entries of
+    mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j]; the scale
+    is the same sum of absolute values, the tolerance scale for its sign.
+    For convex phi the production is nonnegative up to rounding; for affine
+    phi the bracket vanishes node by node.  Non-convex phi is rejected so
+    that a negative production can only ever mean a broken kernel table.
     """
     _solver._check_same_grid(table, state)
-    bracket = _bracket(table, phi)
-    rho = _solver._deposits(table, state.g)
-    return float(np.sum(rho * bracket) * table.grid.h)
+    terms = _solver._deposits(table, state.g) * _bracket(table, phi)
+    h = table.grid.h
+    return float(np.sum(terms) * h), float(np.sum(np.abs(terms)) * h)
 
 
-def production_scale(table, state, phi: Callable) -> float:
-    """Sum of absolute bracket contributions; the tolerance scale for signs."""
-    bracket = _bracket(table, phi)
-    rho = _solver._deposits(table, state.g)
-    return float(np.sum(np.abs(rho * bracket)) * table.grid.h)
-
-
-def make_record(state, cfg: DiagnosticsConfig, table=None, *,
-                deposits: Optional[np.ndarray] = None,
-                brackets: Optional[Mapping[str, np.ndarray]] = None) -> DiagnosticsRecord:
+def make_record(state, cfg: DiagnosticsConfig, deposits: Optional[np.ndarray],
+                brackets: Mapping[str, np.ndarray]) -> DiagnosticsRecord:
     """Diagnostics of one state.
 
-    Convex production needs ``table``.  ``deposits`` (the operator's rho per
-    table entry at this state) and ``brackets`` (from production_brackets
-    for ``cfg.test_functions``) may be passed in to skip recomputing them.
+    ``brackets`` (from production_brackets for ``cfg.test_functions``) and
+    ``deposits`` (the operator's rho per table entry at this state, needed
+    only if there are brackets) give the convex production of each test
+    function.
     """
-    band = {float(R): band_energy(state, R) for R in cfg.band_radii}
-    low = {float(dd): low_mass(state, dd) for dd in cfg.deltas}
-    prod: Dict[str, float] = {}
-    if cfg.test_functions and table is not None:
-        if deposits is None:
-            _solver._check_same_grid(table, state)
-            deposits = _solver._deposits(table, state.g)
-        if brackets is None:
-            brackets = production_brackets(table, cfg.test_functions)
-        for name, bracket in brackets.items():
-            prod[name] = float(np.sum(deposits * bracket) * table.grid.h)
     return DiagnosticsRecord(
         time=state.time,
         mass=mass(state),
         energy=energy(state),
-        band_energy=band,
-        low_mass=low,
-        convex_production=prod,
+        band_energy={float(R): band_energy(state, R) for R in cfg.band_radii},
+        low_mass={float(dd): low_mass(state, dd) for dd in cfg.deltas},
+        convex_production={name: float(np.sum(deposits * bracket) * state.grid.h)
+                           for name, bracket in brackets.items()},
     )
 
 

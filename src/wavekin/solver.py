@@ -14,7 +14,7 @@ four-point stencil (-rho, -rho, +rho, +rho) at nodes (i, j, l, m) with
 Both sum(rhs) and sum(rhs * omega) then cancel identically, term by term:
 mass and energy conservation hold to rounding error for any state, with no
 quadrature tuning.  Interactions are truncated by whole interaction classes
-(see build_kernel_table) so the convexity monotonicity of the continuum
+(see _l_intervals) so the convexity monotonicity of the continuum
 operator survives discretization as well.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "KernelTable",
     "build_kernel_table",
     "rhs",
-    "rhs_with_scale",
     "step",
     "evolve",
     "transform_f_to_g",
@@ -312,17 +311,16 @@ def _deposits(table: KernelTable, g: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _scatter(table: KernelTable, rho: np.ndarray):
-    """Per-node sums of the deposits at the l, m, i and j ends of each entry."""
-    n = table.grid.n_nodes
-    return [np.bincount(idx, weights=rho, minlength=n)
-            for idx in (table.l, table.m, table.i, table.j)]
-
-
 def _rhs_of_g(table: KernelTable, g: np.ndarray, deposits: bool = False):
-    """The operator at density g; with ``deposits``, also its rho per entry."""
+    """The operator at density g; with ``deposits``, also its rho per entry.
+
+    Each deposit is gained at the l and m ends of its entry and lost at the
+    i and j ends.
+    """
     rho = _deposits(table, g)
-    gain_l, gain_m, loss_i, loss_j = _scatter(table, rho)
+    n = table.grid.n_nodes
+    gain_l, gain_m, loss_i, loss_j = (np.bincount(idx, weights=rho, minlength=n)
+                                      for idx in (table.l, table.m, table.i, table.j))
     out = gain_l + gain_m - loss_i - loss_j
     return (out, rho) if deposits else out
 
@@ -333,23 +331,14 @@ def rhs(table: KernelTable, state: SpectrumState) -> np.ndarray:
     return _rhs_of_g(table, state.g)
 
 
-def rhs_with_scale(table: KernelTable, state: SpectrumState):
-    """rhs plus the per-node sum of |deposits|, the conservation error scale."""
-    _check_same_grid(table, state)
-    gain_l, gain_m, loss_i, loss_j = _scatter(table, _deposits(table, state.g))
-    return (gain_l + gain_m - loss_i - loss_j,
-            gain_l + gain_m + loss_i + loss_j)
-
-
 def step(
     table: KernelTable,
     state: SpectrumState,
     dt: float,
-    method: str = "rk4",
     *,
     k1: Optional[np.ndarray] = None,
 ) -> SpectrumState:
-    """Advance one explicit step, halving dt (at most 30 times) to keep g >= 0.
+    """Advance one RK4 step, halving dt (at most 30 times) to keep g >= 0.
 
     ``k1``, if given, must be ``rhs(table, state)``; it saves that evaluation.
     It does not depend on dt, so every halving reuses it.  The stencil
@@ -358,8 +347,6 @@ def step(
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
     _check_same_grid(table, state)
 
     g0 = state.g
@@ -369,13 +356,10 @@ def step(
         raise ValueError(f"k1 has shape {np.shape(k1)} for a {g0.size}-node state")
     trial = float(dt)
     for _ in range(31):
-        if method == "rk4":
-            k2 = _rhs_of_g(table, g0 + 0.5 * trial * k1)
-            k3 = _rhs_of_g(table, g0 + 0.5 * trial * k2)
-            k4 = _rhs_of_g(table, g0 + trial * k3)
-            g1 = g0 + (trial / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            g1 = g0 + trial * k1
+        k2 = _rhs_of_g(table, g0 + 0.5 * trial * k1)
+        k3 = _rhs_of_g(table, g0 + 0.5 * trial * k2)
+        k4 = _rhs_of_g(table, g0 + trial * k3)
+        g1 = g0 + (trial / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.all(g1 >= 0.0):
             return SpectrumState(g=g1, time=state.time + trial, grid=state.grid)
         trial *= 0.5
@@ -395,7 +379,6 @@ def evolve(
     diagnostics_config: Optional["_diag.DiagnosticsConfig"] = None,
     max_steps: Optional[int] = None,
     max_dt: Optional[float] = None,
-    method: str = "rk4",
 ):
     """Integrate to t_end with a rate-limited adaptive step.
 
@@ -433,7 +416,7 @@ def evolve(
         k = rho = None
         if brackets:
             k, rho = _rhs_of_g(table, s.g, deposits=True)
-        rec = _diag.make_record(s, cfg, table=table, deposits=rho, brackets=brackets)
+        rec = _diag.make_record(s, cfg, rho, brackets)
         out.append((s, rec))
         first = out[0][1]
         for name, q0, q1 in (("mass", first.mass, rec.mass),
@@ -470,7 +453,7 @@ def evolve(
         if max_dt is not None:
             dt = min(dt, max_dt)
         dt = min(dt, target - state.time)
-        state = step(table, state, dt, method=method, k1=r)
+        state = step(table, state, dt, k1=r)
         steps += 1
         r = None
         if next_output is None or state.time >= next_output - tiny:

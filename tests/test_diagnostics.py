@@ -25,14 +25,23 @@ from wavekin.diagnostics import (
     low_mass,
     make_record,
     mass,
-    production_scale,
+    production_brackets,
     quadratic_test,
     shifted_ramp,
     smoothed_low_pass,
 )
 from wavekin.diagnostics import _kendall_tau_b
 from wavekin.diagnostics import test_function_registry as registry
-from wavekin.solver import OmegaGrid, SpectrumState, gaussian_bump, rhs
+from wavekin.collision_kernel import KernelWeights
+from wavekin.dispersion import DispersionRelation
+from wavekin.solver import (
+    OmegaGrid,
+    SpectrumState,
+    _rhs_of_g,
+    build_kernel_table,
+    gaussian_bump,
+    rhs,
+)
 
 
 class TestScalars:
@@ -79,7 +88,7 @@ class TestConvexProduction:
         for phi in (lambda w: np.full_like(np.asarray(w, float), 3.0),
                     lambda w: 2.0 * np.asarray(w, float) - 1.0):
             # the bracket vanishes node by node on resonant quadruples
-            assert convex_production(table8_mid, s, phi) == 0.0
+            assert convex_production(table8_mid, s, phi)[0] == 0.0
 
     @pytest.mark.parametrize("which", ["quad", "mid"])
     def test_nonnegative_for_convex_functions(self, which, request):
@@ -98,16 +107,31 @@ class TestConvexProduction:
         states += [gaussian_bump(table.grid, c, 0.3, 1.0) for c in (1.0, 4.0, 6.0)]
         for s in states:
             for phi in phis:
-                prod = convex_production(table, s, phi)
-                scale = production_scale(table, s, phi)
+                prod, scale = convex_production(table, s, phi)
                 assert prod >= -1e-10 * max(scale, 1e-300)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the per-entry bracket of a test function that is "
+        "affine on every nonzero node is rounding noise, so its sign is random"))
+    def test_nonnegative_for_a_ramp_kinked_below_node_1(self):
+        # criterion 3's grids and states; ramp:0.05 is affine on nodes >= 1
+        phi = registry(["ramp:0.05"])["ramp:0.05"]
+        rng = np.random.default_rng(161803)
+        worst = 0.0
+        for alpha in (1.5, 2.0):
+            grid = OmegaGrid(DispersionRelation.power_law(alpha), 64, 4.0)
+            table = build_kernel_table(KernelWeights(), grid)
+            for _ in range(20):
+                prod, scale = convex_production(table, random_state(grid, rng), phi)
+                worst = min(worst, prod / max(scale, 1e-300))
+        assert worst >= -1e-10
 
     def test_matches_chain_rule_identity(self, table8_mid, grid8_mid):
         rng = np.random.default_rng(5)
         s = random_state(grid8_mid, rng)
         phi = quadratic_test()
         expected = float(np.sum(phi(grid8_mid.omega) * rhs(table8_mid, s)) * grid8_mid.h)
-        got = convex_production(table8_mid, s, phi)
+        got = convex_production(table8_mid, s, phi)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonconvex_function(self, table8_quad, grid8_quad):
@@ -166,19 +190,13 @@ class TestRecords:
             deltas=(0.5,),
             test_functions=registry(["quadratic"]),
         )
-        rec = make_record(s, cfg, table=table8_mid)
+        _, rho = _rhs_of_g(table8_mid, s.g, deposits=True)
+        rec = make_record(s, cfg, rho, production_brackets(table8_mid, cfg.test_functions))
         assert rec.time == 0.0
         assert set(rec.band_energy) == {1.0, 2.0}
         assert set(rec.low_mass) == {0.5}
-        assert set(rec.convex_production) == {"quadratic"}
-        assert rec.convex_production["quadratic"] >= 0.0
-
-    def test_production_skipped_without_table(self, grid8_mid):
-        rng = np.random.default_rng(9)
-        s = random_state(grid8_mid, rng)
-        cfg = DiagnosticsConfig(test_functions=registry(["quadratic"]))
-        rec = make_record(s, cfg, table=None)
-        assert rec.convex_production == {}
+        assert rec.convex_production == {
+            "quadratic": convex_production(table8_mid, s, quadratic_test())[0]}
 
 
 def _records(times, masses, energies, band, low):

@@ -32,7 +32,6 @@ from wavekin.solver import (
     evolve,
     gaussian_bump,
     rhs,
-    rhs_with_scale,
     ring_in_r,
     state_from_file,
     step,
@@ -246,7 +245,9 @@ class TestRhs:
         rng = np.random.default_rng(29)
         for _ in range(10):
             s = random_state(grid, rng)
-            out, scale = rhs_with_scale(table, s)
+            out, rho = solver._rhs_of_g(table, s.g, deposits=True)
+            scale = sum(np.bincount(idx, weights=rho, minlength=grid.n_nodes)
+                        for idx in (table.l, table.m, table.i, table.j))
             h = grid.h
             mass_rate = abs(float(np.sum(out)) * h)
             energy_rate = abs(float(np.sum(out * grid.omega)) * h)
@@ -375,8 +376,8 @@ class TestStep:
         sinks = r < 0.0
         assert sinks.any()
         dt_star = float(np.min(s.g[sinks] / -r[sinks]))
-        # an euler step at 3x the first-crossing time must halve at least once
-        s2 = step(table8_mid, s, 3.0 * dt_star, method="euler")
+        # a step at 3x the first-crossing time must halve at least once
+        s2 = step(table8_mid, s, 3.0 * dt_star)
         assert np.all(s2.g >= 0.0)
         assert s2.time - s.time < 3.0 * dt_star
         assert s2.time - s.time >= 3.0 * dt_star / 2.0 ** 31
@@ -384,8 +385,8 @@ class TestStep:
     def test_stiffness_error_carries_state(self, table8_mid, grid8_mid):
         rng = np.random.default_rng(23)
         s = random_state(grid8_mid, rng)
-        with pytest.raises(StiffnessError) as exc:
-            step(table8_mid, s, 1e30, method="euler")
+        with pytest.raises(StiffnessError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            step(table8_mid, s, 1e30)
         assert exc.value.state is s
 
     def test_validation(self, table8_mid, grid8_mid):
@@ -393,8 +394,6 @@ class TestStep:
         s = random_state(grid8_mid, rng)
         with pytest.raises(ValueError):
             step(table8_mid, s, 0.0)
-        with pytest.raises(ValueError, match="method"):
-            step(table8_mid, s, 1e-4, method="heun")
 
 
 class TestEvolve:
@@ -572,7 +571,7 @@ class TestOperatorReuse:
         for state, rec in out:
             assert set(rec.convex_production) == (set(tests) if with_tests else set())
             for name, value in rec.convex_production.items():
-                assert value == convex_production(table32_quad, state, tests[name])
+                assert value == convex_production(table32_quad, state, tests[name])[0]
 
     @pytest.mark.parametrize("with_tests", [True, False])
     def test_zero_horizon(self, counted, table32_quad, grid32_quad, with_tests):
@@ -590,8 +589,7 @@ class TestOperatorReuse:
             evolve(table32_quad, s, t_end=0.01, diagnostics_config=cfg)
         assert counted == {"rhs": 0, "step": 0}
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
-    def test_given_k1_is_bitwise_neutral(self, table8_mid, grid8_mid, method):
+    def test_given_k1_is_bitwise_neutral(self, table8_mid, grid8_mid):
         # the input of test_halving_keeps_nonnegativity: dt = 3 * dt_star
         # halves at least once, and k1 is reused by every halving
         s = random_state(grid8_mid, np.random.default_rng(23))
@@ -599,8 +597,8 @@ class TestOperatorReuse:
         sinks = r < 0.0
         dt_star = float(np.min(s.g[sinks] / -r[sinks]))
         for dt in (0.1 * dt_star, 3.0 * dt_star, 50.0 * dt_star):
-            plain = step(table8_mid, s, dt, method=method)
-            given = step(table8_mid, s, dt, method=method, k1=rhs(table8_mid, s))
+            plain = step(table8_mid, s, dt)
+            given = step(table8_mid, s, dt, k1=rhs(table8_mid, s))
             assert np.array_equal(given.g, plain.g)
             assert given.time == plain.time
 

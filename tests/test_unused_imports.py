@@ -1,11 +1,15 @@
-"""Every imported name in the package and its tests is referenced.
+"""Every imported name in the package and its tests is referenced, and every
+name a package module exports exists.
 
 An import that nothing reads is dead code that still costs load time and
 misleads a reader about what a module depends on.  Names listed in a
-module's ``__all__`` count as used: they are re-exported.
+module's ``__all__`` count as used: they are re-exported.  A stale
+``__all__`` entry would break ``from module import *`` only when someone
+runs it, so each entry is resolved here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,12 @@ def test_the_scan_sees_unused_and_reexported_names():
     src = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
            "__all__ = ['c']\nprint(np.pi)\n")
     assert unused_imports(src) == [("os", 1), ("e", 3)]
+
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "wavekin").glob("*.py"))
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_exported_name_resolves(stem):
+    module = importlib.import_module("wavekin" if stem == "__init__" else f"wavekin.{stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
