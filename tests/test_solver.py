@@ -385,8 +385,9 @@ class TestStep:
     def test_stiffness_error_carries_state(self, table8_mid, grid8_mid):
         rng = np.random.default_rng(23)
         s = random_state(grid8_mid, rng)
-        with pytest.raises(StiffnessError) as exc, np.errstate(over="ignore", invalid="ignore"):
-            step(table8_mid, s, 1e30)
+        with pytest.raises(StiffnessError) as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                step(table8_mid, s, 1e30)
         assert exc.value.state is s
 
     def test_validation(self, table8_mid, grid8_mid):

@@ -53,5 +53,6 @@ MODULES = sorted(p.stem for p in (ROOT / "src" / "wavekin").glob("*.py"))
 
 @pytest.mark.parametrize("stem", MODULES)
 def test_every_exported_name_resolves(stem):
-    module = importlib.import_module("wavekin" if stem == "__init__" else f"wavekin.{stem}")
+    name = "wavekin" if stem == "__init__" else f"wavekin.{stem}"
+    module = importlib.import_module(name)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
