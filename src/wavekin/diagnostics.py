@@ -101,6 +101,9 @@ def _bracket(table, phi: Callable) -> np.ndarray:
     phi_vals = np.asarray(phi(grid.omega), dtype=float)
     if phi_vals.shape != grid.omega.shape:
         raise ValueError("phi must map the frequency grid to one value per node")
+    if not np.all(np.isfinite(phi_vals)):
+        # a NaN second difference would pass the convexity test below
+        raise ValueError("test function is not finite on the grid")
     worst = _convexity_violation(phi_vals)
     if worst < -1e-10:
         raise ValueError(
@@ -204,28 +207,22 @@ def test_function_registry(ids: Iterable[str]) -> Dict[str, Callable]:
     Supported forms: low_pass:C, smooth_low_pass:C[:EPS], band_cap:THETA,
     ramp:C, quadratic.
     """
-    arity = {"low_pass": (1, 1), "smooth_low_pass": (1, 2), "band_cap": (1, 1),
-             "ramp": (1, 1), "quadratic": (0, 0)}
+    builders = {"low_pass": (kinked_low_pass, 1, 1),
+                "smooth_low_pass": (smoothed_low_pass, 1, 2),
+                "band_cap": (kinked_band_cap, 1, 1), "ramp": (shifted_ramp, 1, 1),
+                "quadratic": (quadratic_test, 0, 0)}
     out: Dict[str, Callable] = {}
     for ident in ids:
-        parts = str(ident).split(":")
-        name, args = parts[0], parts[1:]
+        name, *args = str(ident).split(":")
         try:
-            lo, hi = arity[name]
+            build, lo, hi = builders[name]
             if not lo <= len(args) <= hi:
                 raise ValueError(f"expected {lo}..{hi} arguments")
-            if name == "low_pass":
-                out[ident] = kinked_low_pass(float(args[0]))
-            elif name == "smooth_low_pass":
-                eps = float(args[1]) if len(args) > 1 else 0.05
-                out[ident] = smoothed_low_pass(float(args[0]), eps)
-            elif name == "band_cap":
-                out[ident] = kinked_band_cap(float(args[0]))
-            elif name == "ramp":
-                out[ident] = shifted_ramp(float(args[0]))
-            else:
-                out[ident] = quadratic_test()
-        except (IndexError, ValueError, KeyError) as exc:
+            params = [float(a) for a in args]
+            if not np.all(np.isfinite(params)):
+                raise ValueError("arguments must be finite")
+            out[ident] = build(*params)
+        except (ValueError, KeyError) as exc:
             raise ValueError(f"unrecognized test-function id {ident!r}") from exc
     return out
 

@@ -211,7 +211,7 @@ def build_kernel_table(
 ) -> KernelTable:
     """Enumerate admissible interaction triples and their kernel weights.
 
-    W_ijl = c_q * mho(r_m) * min(r_i, r_j, r_l, r_m, n) / (r_i r_j r_l),
+    W_ijl = c_q * mho(r_m) * min(r_i, r_j, r_l, r_m) / (r_i r_j r_l),
     restricted by the radius band [1/n, n) on the three integration indices
     and by whole-class domain truncation (see _l_intervals).  Entries with a
     zero weight (any index at the origin) are pruned.
@@ -261,9 +261,9 @@ def build_kernel_table(
         j_v = np.repeat(j, cnt)
         l_v = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(k)
         m_v = i + j_v - l_v
+        # the kernel's min(..., n) needs no cutoff term here: every kept entry
+        # has least <= r_i <= r[band[1]] < cutoff_n
         least = np.minimum(np.minimum(r[l_v], r[m_v]), np.minimum(r[i], r[j_v]))
-        if math.isfinite(ncut):
-            np.minimum(least, ncut, out=least)
         w_v = kw.c_q * mho[m_v] * least / (r[i] * r[j_v] * r[l_v])
         ii[pos:pos + k] = i
         jj[pos:pos + k] = j_v

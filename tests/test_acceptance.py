@@ -3,7 +3,9 @@
 One test per advertised guarantee.  Each test prints a single PASS/FAIL line
 with the measured figures, so a log scan (``pytest -s``) shows the whole
 scorecard; the same condition is asserted, so the suite fails loudly too.
-Runtime budgets are asserted where they are part of the guarantee.
+Runtime budgets are asserted where they are part of the guarantee.  Criteria
+1 and 5-8 run the same check functions as ``wavekin verify-kernel`` and
+``wavekin verify-geometry``, on larger samples.
 """
 
 import math
@@ -12,13 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from wavekin.collision_kernel import (
-    KernelWeights,
-    four_sine_closed_form,
-    min_identity,
-    resonant_quadruple,
-    sine_integral_oracle,
+import wavekin.cli as cli
+from wavekin import reference
+from wavekin import resonance_geometry as geom
+from wavekin.cli import (
+    check_covering,
+    check_expanded_radius,
+    check_kernel_forms,
+    check_manifold_quadrature,
+    check_spreading_root,
+    main,
 )
+from wavekin.collision_kernel import KernelWeights, resonant_quadruple
 from wavekin.diagnostics import (
     cascade_report,
     convex_production,
@@ -28,22 +35,7 @@ from wavekin.diagnostics import (
     shifted_ramp,
     smoothed_low_pass,
 )
-from wavekin.dispersion import DispersionRelation, eval_omega
-from wavekin.reference import (
-    cap_coverage_mc,
-    mollified_delta_mc,
-    sphere_manifold_oracle,
-    vcone_mc,
-)
-from wavekin.resonance_geometry import (
-    cap_coverage_expectation,
-    digamma_root,
-    expanded_radius,
-    least_covering_caps,
-    manifold_quadrature,
-    ResonanceManifold,
-    vcone,
-)
+from wavekin.dispersion import DispersionRelation
 from wavekin.solver import (
     build_kernel_table,
     evolve,
@@ -53,9 +45,13 @@ from wavekin.solver import (
     SpectrumState,
 )
 from wavekin.solver import _rhs_of_g
+from conftest import random_state
 
 
-def _verdict(name: str, ok: bool, detail: str) -> None:
+def _verdict(name: str, results) -> None:
+    """One PASS/FAIL line for a criterion from its (ok, detail) checks."""
+    ok = all(flag for flag, _ in results)
+    detail = "; ".join(line.strip() for _, line in results)
     print(f"{name}: {'PASS' if ok else 'FAIL'} -- {detail}")
     assert ok, f"{name}: {detail}"
 
@@ -69,12 +65,6 @@ def tables64():
         grid = OmegaGrid(d, 64, 4.0)
         out[alpha] = (grid, build_kernel_table(KernelWeights(), grid))
     return out
-
-
-def _random_state(grid: OmegaGrid, rng: np.random.Generator) -> SpectrumState:
-    g = rng.uniform(0.1, 2.0, size=grid.n_nodes)
-    g[0] = 0.0
-    return SpectrumState(g=g, time=0.0, grid=grid)
 
 
 def _cone_quadruples(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -93,6 +83,16 @@ def _cone_quadruples(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.permuted(np.array(rows), axis=1)
 
 
+def _criterion_1_checks():
+    rng = np.random.default_rng(314159)
+    box = rng.uniform(0.1, 5.0, size=(200, 4))
+    cone = list(_cone_quadruples(rng, 100))
+    for alpha in (1.5, 2.0):
+        d = DispersionRelation.power_law(alpha)
+        cone.extend(resonant_quadruple(d, rng) for _ in range(50))
+    return check_kernel_forms(box, cone, cone + list(_cone_quadruples(rng, 10_000)))
+
+
 def test_criterion_1_sine_integral_oracle():
     """Four-sine integral: quadrature oracle vs closed forms, under 60 s.
 
@@ -103,34 +103,10 @@ def test_criterion_1_sine_integral_oracle():
     closed form are checked against it on that domain.
     """
     t0 = time.monotonic()
-    rng = np.random.default_rng(314159)
-
-    box = rng.uniform(0.1, 5.0, size=(200, 4))
-    err_closed = max(
-        abs(sine_integral_oracle(*q) - four_sine_closed_form(*q)) for q in box
-    )
-
-    cone = list(_cone_quadruples(rng, 100))
-    for alpha in (1.5, 2.0):
-        d = DispersionRelation.power_law(alpha)
-        cone.extend(resonant_quadruple(d, rng) for _ in range(50))
-    err_min = max(abs(sine_integral_oracle(*q) - min_identity(*q)) for q in cone)
-
-    err_exact = max(
-        abs(four_sine_closed_form(*q) - min_identity(*q))
-        for q in _cone_quadruples(rng, 10_000)
-    )
-
+    results = _criterion_1_checks()
     elapsed = time.monotonic() - t0
-    ok = err_closed <= 1e-3 and err_min <= 1e-3 and err_exact <= 1e-12 and elapsed <= 60.0
-    _verdict(
-        "criterion 1 (sine-integral oracle)",
-        ok,
-        f"oracle vs eight-term {err_closed:.2e} (tol 1e-3, 200 box quadruples); "
-        f"oracle vs (pi/4)min {err_min:.2e} (tol 1e-3, 200 on-domain); "
-        f"eight-term vs (pi/4)min {err_exact:.2e} (tol 1e-12, 10^4 on-domain); "
-        f"{elapsed:.1f}s of 60s",
-    )
+    _verdict("criterion 1 (sine-integral oracle)",
+             results + [(elapsed <= 60.0, f"{elapsed:.1f}s of 60s")])
 
 
 def test_criterion_2_exact_conservation(tables64):
@@ -141,7 +117,7 @@ def test_criterion_2_exact_conservation(tables64):
     for alpha, (grid, table) in tables64.items():
         h = grid.h
         for _ in range(50):
-            state = _random_state(grid, rng)
+            state = random_state(grid, rng)
             out, rho = _rhs_of_g(table, state.g, deposits=True)
             scale = sum(np.bincount(idx, weights=rho, minlength=grid.n_nodes)
                         for idx in (table.l, table.m, table.i, table.j))
@@ -155,10 +131,9 @@ def test_criterion_2_exact_conservation(tables64):
     ok = worst_mass <= 1e-12 and worst_energy <= 1e-12 and elapsed <= 30.0
     _verdict(
         "criterion 2 (exact conservation)",
-        ok,
-        f"mass rate {worst_mass:.2e}, energy rate {worst_energy:.2e} "
-        f"relative to deposits (tol 1e-12, 50 states x 2 dispersions, 64 nodes); "
-        f"{elapsed:.1f}s of 30s",
+        [(ok, f"mass rate {worst_mass:.2e}, energy rate {worst_energy:.2e} "
+              f"relative to deposits (tol 1e-12, 50 states x 2 dispersions, 64 nodes); "
+              f"{elapsed:.1f}s of 30s")],
     )
 
 
@@ -176,16 +151,15 @@ def test_criterion_3_convex_production(tables64):
     worst = 0.0
     for alpha, (grid, table) in tables64.items():
         for _ in range(20):
-            state = _random_state(grid, rng)
+            state = random_state(grid, rng)
             for phi in phis:
                 p, s = convex_production(table, state, phi)
                 worst = min(worst, p / max(s, 1e-300))
     ok = worst >= -1e-10
     _verdict(
         "criterion 3 (convex production)",
-        ok,
-        f"most negative normalized production {worst:.2e} "
-        f"(tol -1e-10, 10 test functions x 20 states x 2 dispersions)",
+        [(ok, f"most negative normalized production {worst:.2e} "
+              f"(tol -1e-10, 10 test functions x 20 states x 2 dispersions)")],
     )
 
 
@@ -233,135 +207,54 @@ def test_criterion_4_cascade_trend():
     )
     _verdict(
         "criterion 4 (cascade trend)",
-        ok,
-        f"{len(out)} records to t={out[-1][0].time:.1f}; "
-        f"band energy below R={R:.3f}: tau {band['kendall_tau']:+.3f} (< -0.8), "
-        f"change {band['relative_change']:+.1%} (<= -10%); "
-        f"low mass below {delta:.3f} nondecreasing: {low['nondecreasing']}; "
-        f"drift mass {report['mass_drift_rel']:.1e} / "
-        f"energy {report['energy_drift_rel']:.1e} (tol 1e-10); "
-        f"{elapsed:.0f}s of 300s",
+        [(ok, f"{len(out)} records to t={out[-1][0].time:.1f}; "
+              f"band energy below R={R:.3f}: tau {band['kendall_tau']:+.3f} (< -0.8), "
+              f"change {band['relative_change']:+.1%} (<= -10%); "
+              f"low mass below {delta:.3f} nondecreasing: {low['nondecreasing']}; "
+              f"drift mass {report['mass_drift_rel']:.1e} / "
+              f"energy {report['energy_drift_rel']:.1e} (tol 1e-10); "
+              f"{elapsed:.0f}s of 300s")],
     )
+
+
+def _criterion_5_checks():
+    caps = [(q, N) for q in (0.05, 0.1, 0.2) for N in (10, 44, 100)]
+    cones = ((1.0, 0.3), (1.0, 0.8), (2.0, 0.5), (0.5, 0.05), (3.0, 2.9))
+    return check_covering(caps, cones, 3.0, (90210, 90210), n_experiments=40)
 
 
 def test_criterion_5_covering_statistics():
     """Cap coverage and cone volume match Monte-Carlo within 3 sigma."""
-    worst_z = 0.0
-    for q in (0.05, 0.1, 0.2):
-        for N in (10, 44, 100):
-            mean, se = cap_coverage_mc(q, N, seed=90210)
-            # se floors at the estimator granularity: one flipped test point
-            # out of 40 experiments x 2000 points moves the mean by 1/80000
-            z = abs(mean - cap_coverage_expectation(q, N)) / max(se, 1.0 / 80_000)
-            worst_z = max(worst_z, z)
-
-    n44 = least_covering_caps(0.1)
-    bounds_ok = n44 == 44 and 0.9**44 < 0.01 <= 0.9**43
-
-    worst_vz = 0.0
-    for R, rho in ((1.0, 0.3), (1.0, 0.8), (2.0, 0.5), (0.5, 0.05), (3.0, 2.9)):
-        est, se = vcone_mc(R, rho, seed=90210)
-        worst_vz = max(worst_vz, abs(est - vcone(R, rho)) / se)
-
-    ok = worst_z <= 3.0 and bounds_ok and worst_vz <= 3.0
-    _verdict(
-        "criterion 5 (covering statistics)",
-        ok,
-        f"cap coverage worst {worst_z:.2f} sigma over 9 (q,N) pairs; "
-        f"least caps for q=0.1 -> {n44} (expected 44); "
-        f"cone volume worst {worst_vz:.2f} sigma over 5 (R,rho) pairs (tol 3)",
-    )
+    _verdict("criterion 5 (covering statistics)", _criterion_5_checks())
 
 
 def test_criterion_6_expanded_radius():
     """Expanded radius exceeds R for small r/R and matches its closed form."""
-    worst_margin = math.inf
-    worst_formula = 0.0
-    for r in (1e-3, 2e-3, 1e-2, 1e-1):
-        value, exceeds = expanded_radius(r, 1.0)
-        formula = math.sqrt(1.0 - 45.0 * r * r) + 3.0 * math.sqrt(2.0) * r
-        worst_formula = max(worst_formula, abs(value - formula))
-        worst_margin = min(worst_margin, value - 1.0)
-        if not exceeds:
-            worst_margin = min(worst_margin, -math.inf)
-    point = expanded_radius(0.1, 1.0).value
-    ok = worst_margin > 0.0 and worst_formula <= 1e-12 and abs(point - 1.16588) <= 1e-5
-    _verdict(
-        "criterion 6 (expanded radius)",
-        ok,
-        f"min margin over R {worst_margin:.2e} (> 0 for r/R in 1e-3..1e-1); "
-        f"closed-form deviation {worst_formula:.2e}; "
-        f"value at (0.1, 1) = {point:.7f} (1.16588 +/- 1e-5)",
-    )
+    _verdict("criterion 6 (expanded radius)", check_expanded_radius())
+
+
+def _criterion_7_checks():
+    alphas = [float(a) for a in np.arange(1.1, 1.95, 0.1)]
+    return check_spreading_root(alphas, (0.5, 1.0, 2.0))
 
 
 def test_criterion_7_spreading_root():
     """The spreading root lands in (1,2) with residual <= 1e-10, bracket valid."""
-    worst_res = 0.0
-    all_in = True
-    brackets_ok = True
-    for alpha in np.arange(1.1, 1.95, 0.1):
-        d = DispersionRelation.power_law(float(alpha))
-        for R in (0.5, 1.0, 2.0):
-            kappa = R / 2.0
-            target = 2.0 * eval_omega(d, R)
+    _verdict("criterion 7 (spreading root)", _criterion_7_checks())
 
-            def f(s: float) -> float:
-                return eval_omega(d, (1.0 + s) * kappa) + eval_omega(
-                    d, (s - 1.0) * kappa
-                )
 
-            s0 = digamma_root(d, R)
-            all_in = all_in and 1.0 < s0 < 2.0
-            worst_res = max(worst_res, abs(f(s0) - target))
-            brackets_ok = brackets_ok and f(1.0) < target < f(2.0)
-    ok = all_in and worst_res <= 1e-10 and brackets_ok
-    _verdict(
-        "criterion 7 (spreading root)",
-        ok,
-        f"all roots in (1,2): {all_in}; worst residual {worst_res:.2e} "
-        f"(tol 1e-10, alpha 1.1..1.9 x R in {{0.5,1,2}}); "
-        f"brackets straddle target: {brackets_ok}",
-    )
+def _criterion_8_checks():
+    rng = np.random.default_rng(602214)
+    sphere = [(rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0, size=5))
+              for _ in range(10)]
+    mc = [(np.array([0.9, 0.1, -0.2]), np.array([-0.3, 0.8, 0.5]), (1.0, 0.5, 1.0)),
+          (np.array([1.2, 0.0, 0.0]), np.array([0.2, 0.9, -0.4]), (1.0, 0.5, 1.0))]
+    return check_manifold_quadrature(sphere, mc, 0.0, 8086, n_batches=8)
 
 
 def test_criterion_8_manifold_quadrature():
     """Resonance-manifold quadrature vs sphere oracle and mollified-delta MC."""
-    rng = np.random.default_rng(602214)
-    d2 = DispersionRelation.power_law(2.0)
-    worst_rel = 0.0
-    for _ in range(10):
-        k2 = rng.normal(size=3)
-        k3 = rng.normal(size=3)
-        coeffs = rng.uniform(-1.0, 1.0, size=5)
-        m = ResonanceManifold(k2, k3, d2)
-        got = manifold_quadrature(m, lambda u: np.polyval(coeffs[::-1], u))
-        want = sphere_manifold_oracle(k2, k3, coeffs)
-        worst_rel = max(worst_rel, abs(got - want) / abs(want))
-
-    d15 = DispersionRelation.power_law(1.5)
-    worst_mc = 0.0
-    pairs = (
-        (np.array([0.9, 0.1, -0.2]), np.array([-0.3, 0.8, 0.5])),
-        (np.array([1.2, 0.0, 0.0]), np.array([0.2, 0.9, -0.4])),
-    )
-    for k2, k3 in pairs:
-        m = ResonanceManifold(k2, k3, d15)
-        quad = manifold_quadrature(m, lambda u: 1.0 + 0.5 * u + u**2)
-        mc, se = mollified_delta_mc(
-            d15, k2, k3, lambda rx: 1.0 + 0.5 * rx + rx**2,
-            n_samples=4_000_000, seed=8086, n_batches=8,
-        )
-        worst_mc = max(worst_mc, abs(quad - mc) / abs(quad))
-
-    ok = worst_rel <= 1e-6 and worst_mc <= 0.01
-    _verdict(
-        "criterion 8 (manifold quadrature)",
-        ok,
-        f"quadratic dispersion vs sphere oracle {worst_rel:.2e} rel "
-        f"(tol 1e-6, 10 pairs, quartic integrands); "
-        f"alpha=1.5 vs mollified-delta MC {worst_mc:.2%} (tol 1%)",
-    )
+    _verdict("criterion 8 (manifold quadrature)", _criterion_8_checks())
 
 
 def test_criterion_9_refinement_consistency():
@@ -391,7 +284,53 @@ def test_criterion_9_refinement_consistency():
     ok = all(1.5 <= v <= 2.5 for v in ratios.values())
     _verdict(
         "criterion 9 (refinement consistency)",
-        ok,
-        f"difference ratios h->h/2->h/4: alpha=1.5 -> {ratios[1.5]:.3f}, "
-        f"alpha=2.0 -> {ratios[2.0]:.3f} (required in [1.5, 2.5])",
+        [(ok, f"difference ratios h->h/2->h/4: alpha=1.5 -> {ratios[1.5]:.3f}, "
+              f"alpha=2.0 -> {ratios[2.0]:.3f} (required in [1.5, 2.5])")],
     )
+
+
+# Each guarantee's check with the library function it tests broken, in the
+# namespace the check reads: (verify command, owner, attribute, mutation,
+# prefix of the FAIL lines it must cause, the criterion's checks).
+_MUTATIONS = {
+    1: ("verify-kernel", cli, "four_sine_closed_form",
+        lambda f: lambda *q: f(*q) + 1e-11, "min identity vs closed form",
+        _criterion_1_checks),
+    5: ("verify-geometry", geom, "cap_coverage_expectation",
+        lambda f: lambda q, N: 1.0 - f(q, N), "cap coverage", _criterion_5_checks),
+    6: ("verify-geometry", geom, "expanded_radius",
+        lambda f: lambda r, R: f(r, R)._replace(value=f(r, R).value + 1e-9),
+        "expanded radius", check_expanded_radius),
+    7: ("verify-geometry", geom, "digamma_root",
+        lambda f: lambda d, R: f(d, R) + 1e-6, "pair-production root",
+        _criterion_7_checks),
+    8: ("verify-geometry", geom, "manifold_quadrature",
+        lambda f: lambda m, g: 1.02 * f(m, g), "manifold quadrature",
+        _criterion_8_checks),
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(_MUTATIONS))
+def test_a_broken_library_function_fails_the_cli_and_the_criterion(
+        criterion, monkeypatch, capsys):
+    command, owner, attr, mutate, prefix, criterion_checks = _MUTATIONS[criterion]
+    for var in ("WAVEKIN_SEED", "WAVEKIN_OUT"):
+        monkeypatch.delenv(var, raising=False)
+    # fast fakes for the slow references, from the unbroken functions: the
+    # closed form for quadrature, exact values for the Monte-Carlo estimates
+    quadrature = geom.manifold_quadrature
+    monkeypatch.setattr(cli, "sine_integral_oracle", cli.four_sine_closed_form)
+    monkeypatch.setattr(reference, "cap_coverage_mc",
+                        lambda q, N, **_: (1.0 - (1.0 - q) ** N, 1e-9))
+    monkeypatch.setattr(reference, "vcone_mc",
+                        lambda R, rho, **_: (2.0 * math.pi / 3.0 * R * R * (R - rho), 1e-9))
+    monkeypatch.setattr(reference, "mollified_delta_mc", lambda d, k2, k3, f, **_: (
+        quadrature(geom.ResonanceManifold(k2, k3, d), f), 1e-9))
+    monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
+
+    rc = main([command, "--seed", "1"])
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  FAIL  ")]
+    assert rc == 1
+    assert fails and all(line.startswith("  FAIL  " + prefix) for line in fails), fails
+    assert not all(ok for ok, _ in criterion_checks())

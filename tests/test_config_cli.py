@@ -278,6 +278,12 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+        # non-finite test-function parameters would write NaN productions
+        bad.write_text('diagnostics:\n  test_functions: ["low_pass:nan", "band_cap:inf", '
+                       '"ramp:-inf"]\n')
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 2, key 'diagnostics.test_functions'" in capsys.readouterr().err
 
     def test_removed_safety_key_exits_2(self, tmp_path, clean_env, capsys):
         cfg = tmp_path / "safety.yaml"
@@ -424,6 +430,12 @@ class TestImportGuard:
         assert result == {"codes": [0, 0], "scipy": []}
 
 
+def _check_names(out: str):
+    """The name (the text before the colon) of each PASS/FAIL line, in order."""
+    return [line[8:].split(":")[0] for line in out.splitlines()
+            if line.startswith(("  PASS  ", "  FAIL  "))]
+
+
 class TestVerifyCommands:
     def test_verify_kernel_passes(self, tmp_path, clean_env, capsys):
         cfg = tmp_path / "vk.yaml"
@@ -433,6 +445,9 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
+        assert _check_names(out) == ["closed form vs quadrature (general)",
+                                     "min identity vs quadrature (resonant)",
+                                     "min identity vs closed form (resonant)"]
         assert (tmp_path / "vk" / "verify_kernel.json").is_file()
 
     def test_verify_kernel_reports_a_min_identity_violation(self, tmp_path, clean_env,
@@ -462,7 +477,16 @@ class TestVerifyCommands:
         assert report["checks"][2].startswith("FAIL  min identity vs closed form")
 
     def test_verify_geometry_passes(self, tmp_path, clean_env, capsys):
+        # the benchmark counts these lines as verify-geometry's work done
         rc = main(["verify-geometry", "--seed", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
+        assert _check_names(out) == [
+            "cap coverage q=0.05 N=20", "cap coverage q=0.1 N=44",
+            "cap coverage q=0.2 N=10", "least caps at q=0.1",
+            "cone volume R=1 rho=0", "cone volume R=1 rho=0.4",
+            "cone volume R=2 rho=1.5", "expanded radius (0.1, 1)",
+            "pair-production root residual",
+            "manifold quadrature vs sphere form (alpha=2)",
+            "manifold quadrature vs mollified MC (alpha=1.5)"]

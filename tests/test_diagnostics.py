@@ -138,6 +138,10 @@ class TestConvexProduction:
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
         with pytest.raises(ValueError, match="not convex"):
             convex_production(table8_quad, s, lambda w: np.sin(np.asarray(w, float)))
+        # NaN second differences would pass the convexity test
+        for phi in (kinked_low_pass(np.nan), shifted_ramp(-np.inf)):
+            with pytest.raises(ValueError, match="not finite"):
+                convex_production(table8_quad, s, phi)
 
     def test_phi_must_return_grid_shaped_values(self, table8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
@@ -175,7 +179,8 @@ class TestTestFunctions:
         assert reg["low_pass:2.0"](np.array([0.5]))[0] == 1.5
 
     @pytest.mark.parametrize("bad", ["low_pass", "gauss:1.0", "quadratic:2:3:4x",
-                                     "band_cap:zero"])
+                                     "band_cap:zero", "low_pass:nan", "band_cap:inf",
+                                     "ramp:-inf"])
     def test_registry_rejects_bad_ids(self, bad):
         with pytest.raises(ValueError, match="test-function id"):
             registry([bad])

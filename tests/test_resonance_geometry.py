@@ -11,13 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from wavekin.cli import check_covering, check_spreading_root
 from wavekin.dispersion import DispersionRelation, eval_omega
-from wavekin.reference import (
-    cap_coverage_mc,
-    mollified_delta_mc,
-    sphere_manifold_oracle,
-    vcone_mc,
-)
+from wavekin.reference import mollified_delta_mc, sphere_manifold_oracle
 from wavekin.resonance_geometry import (
     BracketError,
     PointSet3,
@@ -116,10 +112,8 @@ class TestCoveringStatistics:
             cap_coverage_expectation(0.5, 0)
 
     def test_expectation_matches_monte_carlo(self):
-        predicted = cap_coverage_expectation(0.1, 44)
-        mc, stderr = cap_coverage_mc(0.1, 44, n_experiments=40,
-                                     points_per_experiment=2000, seed=7)
-        assert abs(mc - predicted) <= 4.0 * stderr + 1e-12
+        results = check_covering([(0.1, 44)], [], 4.0, (7, 0), n_experiments=40)
+        assert all(ok for ok, _ in results), results
 
     def test_least_covering_caps_frozen(self):
         # (1 - 0.1)^N < 0.1 * 0.1 first at N = 44
@@ -141,9 +135,8 @@ class TestCoveringStatistics:
         assert vcone(2.0, 1.0) == pytest.approx(2.0 * math.pi / 3.0 * 4.0)
 
     def test_vcone_matches_monte_carlo(self):
-        R, rho = 1.2, 0.5
-        mc, stderr = vcone_mc(R, rho, n_samples=400_000, seed=3)
-        assert abs(mc - vcone(R, rho)) <= 3.5 * stderr
+        results = check_covering([], [(1.2, 0.5)], 3.5, (0, 3), n_experiments=40)
+        assert all(ok for ok, _ in results), results
 
     def test_vcone_validation(self):
         with pytest.raises(ValueError):
@@ -201,18 +194,9 @@ class TestDigammaRoot:
             assert digamma_root(d_quad, R) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_residual_bound_across_family(self):
-        for alpha in (1.1, 1.3, 1.5, 1.7, 1.9, 2.0):
-            d = DispersionRelation.power_law(alpha)
-            for R in (0.5, 1.0, 2.0):
-                s0 = digamma_root(d, R)
-                assert 1.0 < s0 < 2.0
-                kappa = 0.5 * R
-                resid = abs(
-                    eval_omega(d, (1.0 + s0) * kappa)
-                    + eval_omega(d, (s0 - 1.0) * kappa)
-                    - 2.0 * eval_omega(d, R)
-                )
-                assert resid <= 1e-10
+        alphas = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
+        [(ok, line)] = check_spreading_root(alphas, (0.5, 1.0, 2.0))
+        assert ok, line
 
     def test_scale_free_for_power_laws(self, d_mid):
         assert digamma_root(d_mid, 0.25) == pytest.approx(
