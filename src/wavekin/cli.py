@@ -24,6 +24,7 @@ from wavekin import diagnostics as diag
 from wavekin import reference
 from wavekin import resonance_geometry as geom
 from wavekin.collision_kernel import (
+    TAIL_CUT,
     four_sine_closed_form,
     resonant_quadruple,
     sine_integral_oracle,
@@ -118,8 +119,7 @@ def _series_row(cfg: RunConfig, state, rec: diag.DiagnosticsRecord) -> List[str]
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     """Run the configured evolution and write the run artifacts to out_dir."""
     grid = cfg.make_grid(cfg.make_dispersion())
-    table = build_kernel_table(cfg.make_kernel_weights(), grid,
-                               max_bytes=int(cfg.kernel.max_table_mb * 2 ** 20))
+    table = build_kernel_table(cfg.make_kernel_weights(), grid)
     state0 = cfg.make_initial_state(grid)
     series = evolve(
         table, state0, cfg.integrator.t_end,
@@ -201,7 +201,7 @@ def check_kernel_forms(box, on_cone, many_on_cone) -> List[Tuple[bool, str]]:
 
     Both cone sets need sorted radii with max + min <= mid + mid (every
     resonant quadruple qualifies).  Quadrature is held to 1e-3, because the
-    oracle cuts its tail at 1e4.
+    oracle cuts its tail at TAIL_CUT.
     """
     tol = 1e-3
     err_box = max(abs(four_sine_closed_form(*q) - sine_integral_oracle(*q)) for q in box)
@@ -218,20 +218,20 @@ def check_covering(cap_cases, cone_cases, n_sigma: float, seeds: Tuple[int, int]
     """Guarantee 5: cap cases (q, N) and cone cases (R, rho) against Monte
     Carlo, within ``n_sigma`` standard errors; a cap's is floored at one
     flipped test point.  ``seeds`` seed the cap and the cone estimates."""
-    points = 2000
     results = []
     for q, n_caps in cap_cases:
         pred = geom.cap_coverage_expectation(q, n_caps)
         mc, se = reference.cap_coverage_mc(q, n_caps, n_experiments=n_experiments,
-                                           points_per_experiment=points, seed=seeds[0])
+                                           seed=seeds[0])
+        flip = 1.0 / (n_experiments * reference.CAP_POINTS)
         results.append(_mc_check(f"cap coverage q={q:g} N={n_caps}", pred, mc, se,
-                                 n_sigma * max(se, 1.0 / (n_experiments * points))))
+                                 n_sigma * max(se, flip)))
     n44 = geom.least_covering_caps(0.1)
     results.append(_check(n44 == 44 and 0.9 ** 44 < 0.01 <= 0.9 ** 43,
                           "least caps at q=0.1", f"{n44} (expected 44)"))
     for R, rho in cone_cases:
         pred = geom.vcone(R, rho)
-        mc, se = reference.vcone_mc(R, rho, n_samples=400_000, seed=seeds[1])
+        mc, se = reference.vcone_mc(R, rho, seed=seeds[1])
         results.append(_mc_check(f"cone volume R={R:g} rho={rho:g}", pred, mc, se,
                                  n_sigma * se))
     return results
@@ -334,7 +334,7 @@ def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
     on_cone = [(r1, r2, r3, r) for r, r1, r2, r3 in resonant]
     results = check_kernel_forms(box, on_cone[:25], on_cone[25:])
     return _finish_verify("verify-kernel", f"alpha={d.alpha:g}, seed={cfg.seed}, "
-                          "tail_cut=10000", results, out_dir)
+                          f"tail_cut={TAIL_CUT:g}", results, out_dir)
 
 
 def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:

@@ -49,6 +49,10 @@ __all__ = [
 #: absorbed into a universal constant.
 DEFAULT_C_Q = 8.0 * math.pi ** 2
 
+#: Upper limit of sine_integral_oracle's quadrature; the discarded tail is at
+#: most 1/TAIL_CUT in absolute value.
+TAIL_CUT = 1e4
+
 
 @dataclass(frozen=True)
 class KernelWeights:
@@ -117,18 +121,16 @@ def sine_integral_oracle(
     r2: float,
     r3: float,
     r: float,
-    tail_cut: float = 1e4,
 ) -> float:
-    """Direct quadrature of the four-sine integral on [0, tail_cut].
+    """Direct quadrature of the four-sine integral on [0, TAIL_CUT].
 
     Composite Gauss-Legendre with panels no wider than one period of the
     fastest frequency, evaluated at two resolutions; disagreement beyond the
-    panel-convergence tolerance raises.  The discarded tail is bounded by
-    int_tail 1/x^2 = 1/tail_cut in absolute value, so keep tail_cut >= 100.
+    panel-convergence tolerance raises, and so do radii that would need more
+    than 4,000,000 panels (a radius sum above about 1257).  The discarded
+    tail is bounded by int_tail 1/x^2 = 1/TAIL_CUT = 1e-4 in absolute value.
     """
     _check_nonneg(r1, r2, r3, r)
-    if not tail_cut >= 100.0:
-        raise ValueError(f"tail_cut must be >= 100, got {tail_cut}")
     if min(r1, r2, r3, r) == 0.0:
         return 0.0  # one sine factor is identically zero
 
@@ -137,9 +139,9 @@ def sine_integral_oracle(
     def integral(points_per_period: int) -> float:
         f_max = sum(freqs)
         width = math.pi / f_max
-        n_panels = int(math.ceil(tail_cut / width))
+        n_panels = int(math.ceil(TAIL_CUT / width))
         if n_panels > 4_000_000:
-            raise ValueError("tail_cut too large for the oracle's panel budget")
+            raise ValueError(f"radii {freqs} too large for the oracle's panel budget")
         nodes, weights = np.polynomial.legendre.leggauss(points_per_period)
         total = 0.0
         # chunk the panels so peak memory stays modest

@@ -59,7 +59,6 @@ class GridBlock:
 class KernelBlock:
     c_q: float = DEFAULT_C_Q
     cutoff_n: Optional[float] = None  # None means no truncation
-    max_table_mb: float = 512.0
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,6 @@ _RANGES = {
     "grid.omega_max": (lambda v: v > 0, "must be positive, got {v:g}"),
     "kernel.c_q": (lambda v: v > 0, "must be positive, got {v:g}"),
     "kernel.cutoff_n": (lambda v: v > 1.0, "must exceed 1, got {v:g}"),
-    "kernel.max_table_mb": (lambda v: v > 0, "must be positive, got {v:g}"),
     "initial.preset": (lambda v: v in ("gaussian_bump", "ring", "file"),
                        "unknown preset {v!r} (gaussian_bump, ring, file)"),
     "initial.width": (lambda v: v > 0, "must be positive, got {v:g}"),

@@ -24,6 +24,13 @@ __all__ = [
     "vcone_mc",
 ]
 
+#: Uniform test points per cap_coverage_mc experiment; one flipped point moves
+#: an experiment's covered fraction by 1/CAP_POINTS.
+CAP_POINTS = 2000
+
+#: Ball samples per vcone_mc estimate.
+VCONE_SAMPLES = 400_000
+
 
 def sphere_manifold_oracle(
     k2: Sequence[float],
@@ -60,9 +67,9 @@ def mollified_delta_mc(
     k2: Sequence[float],
     k3: Sequence[float],
     integrand: Callable[[np.ndarray], np.ndarray],
-    n_samples: int = 8_000_000,
-    seed: int = 0,
-    n_batches: int = 1,
+    n_samples: int,
+    seed: int,
+    n_batches: int,
 ) -> Tuple[float, float]:
     """Monte-Carlo manifold integral via a mollified delta of the defect G.
 
@@ -74,8 +81,13 @@ def mollified_delta_mc(
 
     ``n_batches`` splits the samples into independently seeded streams; the
     result is deterministic for a fixed (seed, n_batches) pair and the spread
-    across batches provides the error estimate.
+    across batches provides the error estimate, so ValueError is raised
+    unless 2 <= n_batches <= n_samples.
     """
+    if n_batches < 2:
+        raise ValueError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
+    if n_samples < n_batches:
+        raise ValueError(f"n_samples ({n_samples}) must be at least n_batches ({n_batches})")
     k2 = np.asarray(k2, dtype=float).reshape(3)
     k3 = np.asarray(k3, dtype=float).reshape(3)
     gamma = k2 + k3
@@ -89,8 +101,7 @@ def mollified_delta_mc(
     eps1 = 0.03 * w_total
     eps2 = 0.5 * eps1
 
-    n_batches = max(1, int(n_batches))
-    per_batch = int(n_samples) // n_batches
+    per_batch = n_samples // n_batches
     est1 = np.empty(n_batches)
     est2 = np.empty(n_batches)
     chunk = 2_000_000
@@ -121,37 +132,36 @@ def mollified_delta_mc(
         est2[b] = volume * s2 / per_batch
 
     extrap = (4.0 * est2 - est1) / 3.0
-    value = float(np.mean(extrap))
-    if n_batches > 1:
-        stderr = float(np.std(extrap, ddof=1) / math.sqrt(n_batches))
-    else:
-        stderr = float("nan")
-    return value, stderr
+    stderr = float(np.std(extrap, ddof=1) / math.sqrt(n_batches))
+    return float(np.mean(extrap)), stderr
 
 
 def cap_coverage_mc(
     q: float,
     N: int,
     n_experiments: int = 40,
-    points_per_experiment: int = 2000,
     seed: int = 0,
 ) -> Tuple[float, float]:
     """Measured covered fraction after dropping N random caps of area fraction q.
 
     Each experiment drops its own caps and measures the covered fraction of
-    fresh uniform test points; returns (mean fraction, standard error of the
-    mean).  A cap of area fraction q covers directions within angular cosine
-    1 - 2q of its center.
+    CAP_POINTS fresh uniform test points; returns (mean fraction, standard
+    error of the mean), so ValueError is raised for n_experiments < 2.  A cap
+    of area fraction q covers directions within angular cosine 1 - 2q of its
+    center.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
+    if n_experiments < 2:
+        raise ValueError(f"n_experiments must be >= 2 for a standard error, "
+                         f"got {n_experiments}")
     cos_thresh = 1.0 - 2.0 * q
     fractions = np.empty(n_experiments)
     for e in range(n_experiments):
         rng = np.random.default_rng([seed, 0, e])
         axes = rng.normal(size=(N, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        pts = rng.normal(size=(points_per_experiment, 3))
+        pts = rng.normal(size=(CAP_POINTS, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         covered = (pts @ axes.T) >= cos_thresh
         fractions[e] = float(np.mean(np.any(covered, axis=1)))
@@ -163,28 +173,27 @@ def cap_coverage_mc(
 def vcone_mc(
     R: float,
     rho: float,
-    n_samples: int = 400_000,
     seed: int = 0,
 ) -> Tuple[float, float]:
     """Monte-Carlo volume of {x in B(0, R) : x . sigma >= |x| rho / R}.
 
-    Counts uniform ball samples satisfying the membership inequality with
-    sigma the z axis; returns (volume estimate, standard error).
+    Counts the VCONE_SAMPLES uniform ball samples satisfying the membership
+    inequality with sigma the z axis; returns (volume estimate, standard
+    error).
     """
     if not R > 0.0:
         raise ValueError(f"R must be positive, got {R}")
     if not 0.0 <= rho <= R:
         raise ValueError(f"rho must lie in [0, R], got {rho}")
-    n_samples = int(n_samples)
     rng = np.random.default_rng([seed, 0])
-    u = rng.normal(size=(n_samples, 3))
+    u = rng.normal(size=(VCONE_SAMPLES, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rad = R * rng.uniform(size=(n_samples, 1)) ** (1.0 / 3.0)
+    rad = R * rng.uniform(size=(VCONE_SAMPLES, 1)) ** (1.0 / 3.0)
     x = rad * u
     lhs = x[:, 2]
     rhs_val = np.linalg.norm(x, axis=1) * rho / R
     hits = int(np.count_nonzero(lhs >= rhs_val))
-    p = hits / n_samples
+    p = hits / VCONE_SAMPLES
     ball = 4.0 / 3.0 * math.pi * R ** 3
-    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples) * ball
+    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / VCONE_SAMPLES) * ball
     return p * ball, stderr

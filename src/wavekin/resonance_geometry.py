@@ -365,7 +365,6 @@ class ResonanceManifold:
     k2: np.ndarray
     k3: np.ndarray
     d: DispersionRelation
-    gamma: np.ndarray = field(init=False, repr=False)
     gnorm: float = field(init=False)
     w_total: float = field(init=False)
     u_min: float = field(init=False)
@@ -402,7 +401,6 @@ class ResonanceManifold:
 
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "k3", k3)
-        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gnorm", gnorm)
         object.__setattr__(self, "w_total", w_total)
         object.__setattr__(self, "u_min", float(a))
@@ -416,39 +414,6 @@ class ResonanceManifold:
         """|gamma - x| forced by the resonance at |x| = u."""
         w_left = self.w_total - eval_omega(self.d, u)
         return invert_omega(self.d, max(w_left, 0.0))
-
-    def g_value(self, x: np.ndarray) -> float:
-        """The defect G(x); zero on the manifold."""
-        x = np.asarray(x, dtype=float).reshape(3)
-        return (
-            eval_omega(self.d, float(np.linalg.norm(self.gamma - x)))
-            + eval_omega(self.d, float(np.linalg.norm(x)))
-            - self.w_total
-        )
-
-    def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n points on the manifold, uniform in (u, azimuth) coordinates."""
-        if self.is_empty:
-            raise ValueError("cannot sample an empty manifold")
-        ghat = self.gamma / self.gnorm
-        probe = np.zeros(3)
-        probe[int(np.argmin(np.abs(ghat)))] = 1.0
-        e1 = np.cross(ghat, probe)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(ghat, e1)
-        us = rng.uniform(self.u_min, self.u_max, size=n)
-        phis = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        out = np.empty((n, 3))
-        for idx, (u, phi) in enumerate(zip(us, phis)):
-            v = self.partner_radius(float(u))
-            cos_psi = (self.gnorm ** 2 + u * u - v * v) / (2.0 * self.gnorm * u)
-            cos_psi = min(1.0, max(-1.0, cos_psi))
-            sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
-            out[idx] = u * (
-                cos_psi * ghat
-                + sin_psi * (math.cos(phi) * e1 + math.sin(phi) * e2)
-            )
-        return out
 
 
 def manifold_quadrature(m: ResonanceManifold, integrand: Callable[[float], float]) -> float:

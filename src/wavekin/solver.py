@@ -61,7 +61,11 @@ class ConservationError(RuntimeError):
 
 
 class MemoryBudgetError(MemoryError):
-    """Kernel table would exceed the configured memory budget."""
+    """Kernel table would exceed the fixed memory budget, MAX_TABLE_BYTES."""
+
+
+#: Memory budget of the interaction table's entry arrays.
+MAX_TABLE_BYTES = 512 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +208,7 @@ def _l_intervals(
     return lo, np.maximum(hi - lo + 1, 0)
 
 
-def build_kernel_table(
-    kw: KernelWeights,
-    grid: OmegaGrid,
-    max_bytes: int = 512 * 2 ** 20,
-) -> KernelTable:
+def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
     """Enumerate admissible interaction triples and their kernel weights.
 
     W_ijl = c_q * mho(r_m) * min(r_i, r_j, r_l, r_m) / (r_i r_j r_l),
@@ -217,7 +217,8 @@ def build_kernel_table(
     zero weight (any index at the origin) are pruned.
 
     Raises MemoryBudgetError, before allocating, if the entry arrays would
-    exceed ``max_bytes``.
+    exceed MAX_TABLE_BYTES (512 MiB); counting stops at the first row that
+    passes it, so a far oversized grid is rejected after its first rows.
     """
     n = grid.n_nodes
     r = grid.r
@@ -237,14 +238,16 @@ def build_kernel_table(
         return (j, *_l_intervals(i, j, n, band))
 
     # First pass: count entries so the budget check precedes allocation.
-    count = sum(int(row(i)[2].sum()) for i in rows)
-    bytes_needed = count * (4 * 4 + 8 * 2 + 1 + 8)
-    if bytes_needed > max_bytes:
-        raise MemoryBudgetError(
-            f"kernel table needs ~{bytes_needed / 2**20:.0f} MiB for {count} "
-            f"entries, over the {max_bytes / 2**20:.0f} MiB budget; raise "
-            "max_bytes or reduce n_nodes"
-        )
+    count = 0
+    for i in rows:
+        count += int(row(i)[2].sum())
+        bytes_needed = count * (4 * 4 + 8 * 2 + 1 + 8)
+        if bytes_needed > MAX_TABLE_BYTES:
+            raise MemoryBudgetError(
+                f"kernel table needs at least {bytes_needed / 2**20:.0f} MiB for "
+                f"the {count} entries counted so far, over the "
+                f"{MAX_TABLE_BYTES / 2**20:.0f} MiB budget; reduce n_nodes"
+            )
 
     ii = np.empty(count, dtype=np.int32)
     jj = np.empty(count, dtype=np.int32)

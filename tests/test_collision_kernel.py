@@ -66,9 +66,9 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             sine_integral_oracle(1.0, -1.0, 1.0, 1.0)
 
-    def test_tail_cut_floor(self):
-        with pytest.raises(ValueError, match="tail_cut"):
-            sine_integral_oracle(1.0, 1.0, 1.0, 1.0, tail_cut=10.0)
+    def test_radii_beyond_the_panel_budget_rejected(self):
+        with pytest.raises(ValueError, match="panel budget"):
+            sine_integral_oracle(400.0, 400.0, 400.0, 400.0)
 
 
 class TestMinIdentity:

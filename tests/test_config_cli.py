@@ -106,11 +106,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed: -1\n")
 
-    def test_nonpositive_table_budget_reports_line(self):
+    def test_nonpositive_prefactor_reports_line(self):
         with pytest.raises(ConfigError) as exc:
-            parse_config("grid:\n  n_nodes: 8\nkernel:\n  max_table_mb: -5\n")
+            parse_config("grid:\n  n_nodes: 8\nkernel:\n  c_q: -5\n")
         msg = str(exc.value)
-        assert "line 4" in msg and "max_table_mb" in msg and "positive" in msg
+        assert "line 4" in msg and "kernel.c_q" in msg and "positive" in msg
 
     @pytest.mark.parametrize("text, line", [
         ("kernel:\n  c_q: 1.0\n  table_cache: t.npz\n", 3),
@@ -119,6 +119,7 @@ class TestParseConfig:
         ("kernel:\n  oracle:\n    tol: 1e-3\n", 2),
         ("integrator:\n  t_end: 0.5\n  safety: 0.5\n", 3),
         ("integrator:\n  method: rk4\n", 2),
+        ("grid:\n  n_nodes: 8\nkernel:\n  max_table_mb: 64\n", 4),
     ])
     def test_removed_keys_are_unknown(self, text, line):
         with pytest.raises(ConfigError, match=f"line {line}, .*unknown key"):
@@ -293,9 +294,10 @@ class TestSimulateCommand:
         assert "line 3, key 'integrator.safety': unknown key" in capsys.readouterr().err
 
     def test_runtime_failure_exits_1(self, tmp_path, clean_env, capsys):
-        # a 1-byte table budget cannot hold any grid: MemoryBudgetError -> 1
-        cfg = tmp_path / "tiny.yaml"
-        cfg.write_text("kernel:\n  max_table_mb: 0.0000001\n")
+        # 640 nodes at alpha 2 need about 2,129 MiB of table, over the fixed
+        # 512 MiB budget: MemoryBudgetError -> 1
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("grid:\n  n_nodes: 640\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "budget" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import pytest
 
 from wavekin.cli import check_covering, check_spreading_root
 from wavekin.dispersion import DispersionRelation, eval_omega
-from wavekin.reference import mollified_delta_mc, sphere_manifold_oracle
+from wavekin.reference import cap_coverage_mc, mollified_delta_mc, sphere_manifold_oracle
 from wavekin.resonance_geometry import (
     BracketError,
     PointSet3,
@@ -114,6 +114,10 @@ class TestCoveringStatistics:
     def test_expectation_matches_monte_carlo(self):
         results = check_covering([(0.1, 44)], [], 4.0, (7, 0), n_experiments=40)
         assert all(ok for ok, _ in results), results
+
+    def test_one_experiment_has_no_standard_error(self):
+        with pytest.raises(ValueError, match="n_experiments"):
+            cap_coverage_mc(0.1, 44, n_experiments=1)
 
     def test_least_covering_caps_frozen(self):
         # (1 - 0.1)^N < 0.1 * 0.1 first at N = 44
@@ -267,8 +271,6 @@ class TestResonanceManifold:
         m = ResonanceManifold(k2=k, k3=k, d=d_quad)
         assert m.is_empty
         assert manifold_quadrature(m, lambda u: 1.0) == 0.0
-        with pytest.raises(ValueError, match="empty"):
-            m.sample_points(5, np.random.default_rng(0))
 
     def test_partner_radius_closes_the_resonance(self, d_mid):
         m = ResonanceManifold(k2=np.array([0.9, 0.1, 0.0]),
@@ -277,13 +279,6 @@ class TestResonanceManifold:
             v = m.partner_radius(float(u))
             total = eval_omega(d_mid, float(u)) + eval_omega(d_mid, v)
             assert total == pytest.approx(m.w_total, rel=1e-10)
-
-    def test_sampled_points_lie_on_the_manifold(self, d_mid):
-        m = ResonanceManifold(k2=np.array([0.9, 0.1, 0.0]),
-                              k3=np.array([-0.2, 0.8, 0.3]), d=d_mid)
-        pts = m.sample_points(200, np.random.default_rng(8))
-        defects = [abs(m.g_value(p)) for p in pts]
-        assert max(defects) <= 1e-9
 
     def test_quadratic_quadrature_matches_sphere_oracle(self, d_quad):
         rng = np.random.default_rng(12)
@@ -311,3 +306,12 @@ class TestResonanceManifold:
         )
         assert np.isfinite(stderr)
         assert abs(approx - exact) <= max(4.0 * stderr, 0.02 * abs(exact))
+
+    @pytest.mark.parametrize("n_samples, n_batches, match", [
+        (10_000, 1, "n_batches"), (10_000, 0, "n_batches"), (3, 4, "n_samples"),
+    ])
+    def test_mollified_mc_needs_a_standard_error(self, d_mid, n_samples, n_batches,
+                                                 match):
+        with pytest.raises(ValueError, match=match):
+            mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3], lambda rr: rr,
+                               n_samples=n_samples, seed=1, n_batches=n_batches)

@@ -142,9 +142,25 @@ class TestKernelTable:
         for name in ("i", "j", "l", "m", "w", "mult", "coef"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_memory_budget(self, grid32_quad):
+    def test_memory_budget(self, d_quad):
+        # 54.46M entries, about 2,129 MiB, over the fixed 512 MiB budget
         with pytest.raises(MemoryBudgetError, match="budget"):
-            build_kernel_table(KernelWeights(), grid32_quad, max_bytes=64)
+            build_kernel_table(KernelWeights(), OmegaGrid(d_quad, 640, 4.0))
+
+    def test_over_budget_grid_rejected_at_the_first_rows(self, d_quad, monkeypatch):
+        # the first row alone passes the budget; counting every row before
+        # comparing would make 49,999 calls
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return l_intervals(*args)
+
+        l_intervals = solver._l_intervals
+        monkeypatch.setattr(solver, "_l_intervals", counted)
+        with pytest.raises(MemoryBudgetError, match="at least"):
+            build_kernel_table(KernelWeights(), OmegaGrid(d_quad, 50_000, 4.0))
+        assert len(calls) < 10
 
 
 def _table_by_double_loop(kw, grid):
