@@ -1,10 +1,11 @@
 """Command-line front end: simulate, verify-kernel, verify-geometry, report.
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 bad usage or
-invalid configuration.  Option precedence for seed and output directory is
-flag > environment (WAVEKIN_SEED, WAVEKIN_OUT) > config file > built-in
-default.  Outputs are deterministic: the same config and seed produce
-byte-identical series.csv files.
+invalid configuration.  Every command resolves its seed and output directory
+the same way: flag > environment (WAVEKIN_SEED, WAVEKIN_OUT) > config file;
+only simulate then defaults the directory, to runs/<digest>.  Outputs are
+deterministic: the same config and seed produce byte-identical series.csv
+files.
 """
 
 from __future__ import annotations
@@ -51,30 +52,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _resolve_int(flag: Optional[int], env_name: str, file_value: int) -> int:
+def _option(flag, env_name: str, file_value, parse=str):
+    """The flag if given, else the environment variable if set, else the file's value."""
     if flag is not None:
         return flag
     env = os.environ.get(env_name)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(env_name, f"environment value {env!r} is not an integer")
-    return file_value
-
-
-def _resolve_out(flag: Optional[str], cfg: RunConfig, seed: int) -> str:
-    if flag is not None:
-        return flag
-    env = os.environ.get(_ENV_OUT)
-    if env:
-        return env
-    if cfg.output.dir is not None:
-        return cfg.output.dir
-    digest = hashlib.sha256(
-        (yaml.safe_dump(cfg.to_dict(), sort_keys=True) + f"|seed={seed}").encode()
-    ).hexdigest()[:12]
-    return os.path.join("runs", digest)
+    if not env:
+        return file_value
+    try:
+        return parse(env)
+    except ValueError:
+        raise ConfigError(env_name,
+                          f"environment value {env!r} is not a valid {parse.__name__}")
 
 
 def _load_cfg(path: Optional[str]) -> RunConfig:
@@ -83,14 +72,6 @@ def _load_cfg(path: Optional[str]) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError("--config", f"no such file: {path}")
     return load_config_file(path)
-
-
-def _effective(cfg: RunConfig, seed: int, out_dir: str, dump: bool) -> RunConfig:
-    return dataclasses.replace(
-        cfg,
-        seed=seed,
-        output=dataclasses.replace(cfg.output, dir=out_dir, dump_spectrum=dump),
-    )
 
 
 # --- simulate -----------------------------------------------------------------
@@ -116,8 +97,9 @@ def _series_row(cfg: RunConfig, state, rec: diag.DiagnosticsRecord) -> List[str]
     return out
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
-    """Run the configured evolution and write the run artifacts to out_dir."""
+def cmd_simulate(cfg: RunConfig) -> int:
+    """Run the configured evolution and write the run artifacts to cfg.output.dir."""
+    out_dir = cfg.output.dir
     grid = cfg.make_grid(cfg.make_dispersion())
     table = build_kernel_table(cfg.make_kernel_weights(), grid)
     state0 = cfg.make_initial_state(grid)
@@ -325,7 +307,7 @@ def _finish_verify(command: str, header: str, results: List[Tuple[bool, str]],
     return 0 if ok else 1
 
 
-def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
+def cmd_verify_kernel(cfg: RunConfig) -> int:
     """Cross-check the kernel closed forms against direct quadrature."""
     d = cfg.make_dispersion()
     rng = np.random.default_rng(cfg.seed)
@@ -334,10 +316,10 @@ def cmd_verify_kernel(cfg: RunConfig, out_dir: Optional[str]) -> int:
     on_cone = [(r1, r2, r3, r) for r, r1, r2, r3 in resonant]
     results = check_kernel_forms(box, on_cone[:25], on_cone[25:])
     return _finish_verify("verify-kernel", f"alpha={d.alpha:g}, seed={cfg.seed}, "
-                          f"tail_cut={TAIL_CUT:g}", results, out_dir)
+                          f"tail_cut={TAIL_CUT:g}", results, cfg.output.dir)
 
 
-def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
+def cmd_verify_geometry(cfg: RunConfig) -> int:
     """Check the geometric predictions against Monte Carlo estimates."""
     seed = cfg.seed
     rng = np.random.default_rng(seed + 2)
@@ -358,7 +340,7 @@ def cmd_verify_geometry(cfg: RunConfig, out_dir: Optional[str]) -> int:
                + check_spreading_root((1.1, 1.5, 2.0), (0.5, 1.0, 3.0))
                + check_manifold_quadrature(sphere_cases, mc_cases, 4.0, seed + 3,
                                            n_batches=4))
-    return _finish_verify("verify-geometry", f"seed={seed}", results, out_dir)
+    return _finish_verify("verify-geometry", f"seed={seed}", results, cfg.output.dir)
 
 
 # --- report -------------------------------------------------------------------
@@ -430,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output directory (env {_ENV_OUT})")
         p.add_argument("--seed", type=int, help=f"RNG seed (env {_ENV_SEED})")
         if with_dump:
-            p.add_argument("--dump-spectrum", action="store_true", default=None,
+            p.add_argument("--dump-spectrum", action="store_true",
                            help="append per-node g columns to series.csv")
 
     p_sim = sub.add_parser("simulate", help="run an evolution and write artifacts")
@@ -444,38 +426,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="summarize a series.csv")
     p_rep.add_argument("series", help="path to a series.csv produced by simulate")
-    p_rep.add_argument("--out", help="directory for report.json (optional)")
+    p_rep.add_argument("--out", help=f"directory for report.json (env {_ENV_OUT})")
     p_rep.add_argument("--discard-fraction", type=float, default=0.2,
                        help="initial fraction of records to drop as transient")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args.series, args.out, args.discard_fraction)
-
-        cfg = _load_cfg(args.config)
-        seed = _resolve_int(args.seed, _ENV_SEED, cfg.seed)
+        cfg = _load_cfg(getattr(args, "config", None))
+        seed = _option(getattr(args, "seed", None), _ENV_SEED, cfg.seed, int)
         if not 0 <= seed < 2 ** 64:
             raise ConfigError("--seed", "must fit in an unsigned 64-bit integer")
+        out_dir = _option(args.out, _ENV_OUT, cfg.output.dir)
+        if args.command == "report":
+            return cmd_report(args.series, out_dir, args.discard_fraction)
 
-        if args.command == "simulate":
-            dump = cfg.output.dump_spectrum if args.dump_spectrum is None else True
-            out_dir = _resolve_out(args.out, cfg, seed)
-            cfg = _effective(cfg, seed, out_dir, dump)
-            return cmd_simulate(cfg, out_dir)
-
-        out_dir = args.out if args.out is not None else os.environ.get(_ENV_OUT)
-        cfg = dataclasses.replace(cfg, seed=seed)
-        if args.command == "verify-kernel":
-            return cmd_verify_kernel(cfg, out_dir)
-        if args.command == "verify-geometry":
-            return cmd_verify_geometry(cfg, out_dir)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        if out_dir is None and args.command == "simulate":
+            digest = hashlib.sha256(
+                (yaml.safe_dump(cfg.to_dict(), sort_keys=True) + f"|seed={seed}").encode()
+            ).hexdigest()[:12]
+            out_dir = os.path.join("runs", digest)
+        dump = getattr(args, "dump_spectrum", False) or cfg.output.dump_spectrum
+        cfg = dataclasses.replace(
+            cfg, seed=seed,
+            output=dataclasses.replace(cfg.output, dir=out_dir, dump_spectrum=dump))
+        command = {"simulate": cmd_simulate, "verify-kernel": cmd_verify_kernel,
+                   "verify-geometry": cmd_verify_geometry}[args.command]
+        return command(cfg)
     except ConfigError as exc:
         print(f"wavekin: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -239,6 +240,8 @@ def _scalar(tp: type, value: Any, path: str, line: Optional[int]) -> Any:
         expected = "a string"
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         expected = "a number"
+    elif (tp is float or isinstance(value, float)) and not abs(value) <= sys.float_info.max:
+        expected = "a finite number"  # NaN, +-inf, or an integer past the float range
     elif tp is float:
         return float(value)
     elif isinstance(value, int) or value.is_integer():

@@ -323,11 +323,10 @@ def cascade_report(
         raise ValueError(f"discard_fraction must be in [0, 1), got {discard_fraction}")
 
     start = int(len(records) * discard_fraction)
-    kept = records[start:] if len(records) > 1 else records
+    kept = records[start:]
     times = np.array([rec.time for rec in kept])
 
     masses = np.array([rec.mass for rec in kept])
-    energies = np.array([rec.energy for rec in kept])
     all_masses = np.array([rec.mass for rec in records])
     all_energies = np.array([rec.energy for rec in records])
 

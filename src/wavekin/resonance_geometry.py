@@ -189,8 +189,6 @@ def iterate_collision_region(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if seed.n_points == 0 and seed.generator is None:
-        raise ValueError("seed must be nonempty")
     rng = np.random.default_rng(rng_seed)
     quadratic = d.kind == "power_law" and d.alpha == 2.0
 

@@ -230,17 +230,16 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
                 int(np.searchsorted(r, ncut)) - 1)
     else:
         band = (1, n - 1)  # the origin node carries no interactions
-    rows = range(band[0], band[1] + 1)
 
-    def row(i: int):
-        """Partners j >= i of row i, with their first l and l counts."""
-        j = np.arange(i, band[1] + 1, dtype=np.int64)
-        return (j, *_l_intervals(i, j, n, band))
-
-    # First pass: count entries so the budget check precedes allocation.
+    # First pass: each row's partners j >= i, their first l and l counts,
+    # counted so the budget check precedes allocation.
+    rows = []
     count = 0
-    for i in rows:
-        count += int(row(i)[2].sum())
+    for i in range(band[0], band[1] + 1):
+        j = np.arange(i, band[1] + 1, dtype=np.int64)
+        lo, cnt = _l_intervals(i, j, n, band)
+        rows.append((i, j, lo, cnt))
+        count += int(cnt.sum())
         bytes_needed = count * (4 * 4 + 8 * 2 + 1 + 8)
         if bytes_needed > MAX_TABLE_BYTES:
             raise MemoryBudgetError(
@@ -257,8 +256,7 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
     mu = np.empty(count, dtype=np.int8)
 
     pos = 0
-    for i in rows:
-        j, lo, cnt = row(i)
+    for i, j, lo, cnt in rows:
         k = int(cnt.sum())
         # (j, l) order: each pair's l run from lo up
         j_v = np.repeat(j, cnt)
@@ -389,16 +387,19 @@ def evolve(
     floor = 1e-3 * max(g): nodes carrying appreciable density change by at
     most ~20% per step; the rate limit 0.2 is fixed, and a state whose rhs
     vanishes sets no bound.  ``max_dt`` caps the step on top of that.
-    Diagnostics are recorded at t=0, every ``output_every`` time units (every
-    accepted step if 0), and at the end.  The operator is evaluated once per
-    state: that evaluation sets dt, is the step's k1 and gives the record its
-    deposits.  Returns a list of (state, record) pairs.  Every record's mass
+    Diagnostics are recorded at t=0, at the first accepted step past each
+    multiple of ``output_every`` after t=0 (every accepted step if 0, or if
+    below the clock's resolution of 1e-14 * max(1, |end time|)), and at the
+    end.  The operator is evaluated once per state: that evaluation sets dt,
+    is the step's k1 and gives the record its deposits.  Returns a list of (state, record) pairs.  Every record's mass
     and energy are compared with the first record's: ConservationError is
     raised at the first record where either has drifted by more than 1e-10
     relative, and names the quantity, the drift and that record's time.
     """
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    if not 0.0 <= output_every < math.inf:
+        raise ValueError(f"output_every must be finite and nonnegative, got {output_every}")
     if max_dt is not None and not max_dt > 0.0:
         raise ValueError(f"max_dt must be positive, got {max_dt}")
     if max_steps is not None and max_steps < 1:
@@ -433,15 +434,12 @@ def evolve(
         return k
 
     r = record(state0)
-    if t_end == 0.0:
-        return out
-
-    target = state0.time + t_end
-    next_output = state0.time + output_every if output_every > 0.0 else None
-
+    t0 = state0.time
+    target = t0 + t_end
     state = state0
     steps = 0
     tiny = 1e-14 * max(1.0, abs(target))
+    periods = 0  # whole output periods from t0 to the last record
     while state.time < target - tiny:
         if max_steps is not None and steps >= max_steps:
             break
@@ -459,10 +457,12 @@ def evolve(
         state = step(table, state, dt, k1=r)
         steps += 1
         r = None
-        if next_output is None or state.time >= next_output - tiny:
+        # a cadence no coarser than the clock's resolution makes every step
+        # a new period
+        now = (state.time - t0 + tiny) // output_every if output_every > tiny else steps
+        if now > periods:
+            periods = now
             r = record(state)
-        while next_output is not None and next_output <= state.time + tiny:
-            next_output += output_every
 
     if out[-1][0] is not state:
         record(state)

@@ -217,6 +217,13 @@ def run_dir(tmp_path, clean_env):
     return tmp_path, cfg_path
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this wavekin."""
+    src = str(Path(wavekin.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _simulate(cfg_path: Path, out: Path, *extra: str) -> int:
     return main(["simulate", "--config", str(cfg_path), "--out", str(out), *extra])
 
@@ -285,6 +292,36 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "line 2, key 'diagnostics.test_functions'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("integrator: {t_end: .inf, max_steps: 5}\n", 1),
+        ("grid:\n  omega_max: .inf\n", 2),
+        ("grid:\n  omega_max: 1e400\n", 2),
+        ("kernel:\n  c_q: .inf\n", 2),
+        ("kernel:\n  cutoff_n: .inf\n", 2),
+        ("initial:\n  center: .nan\n", 2),
+    ], ids=["t_end", "omega_max", "omega_max-1e400", "c_q", "cutoff_n", "center-nan"])
+    def test_nonfinite_number_exits_2(self, tmp_path, clean_env, capsys, text, line):
+        bad = tmp_path / "nonfinite.yaml"
+        bad.write_text(text)
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"line {line}, " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_tiny_output_every_records_every_step(self, tmp_path, clean_env):
+        # one output period per step used to mean ~1e298 loop turns per step;
+        # a subprocess with a timeout turns a hang into a failure
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("grid:\n  n_nodes: 16\n"
+                       "integrator:\n  output_every: 1.0e-300\n  max_steps: 3\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavekin.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "o" / "series.csv").read_text().splitlines()) == 1 + 3
 
     def test_removed_safety_key_exits_2(self, tmp_path, clean_env, capsys):
         cfg = tmp_path / "safety.yaml"
@@ -362,6 +399,41 @@ class TestPrecedence:
                    "--out", str(tmp_path / "o"), "--seed", "-5"])
         assert rc == 2
 
+    def test_default_directory_only_for_simulate(self, run_dir, monkeypatch, capsys):
+        tmp_path, cfg_path = run_dir
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        runs = list((tmp_path / "runs").iterdir())
+        assert len(runs) == 1 and re.fullmatch(r"[0-9a-f]{12}", runs[0].name)
+        assert (runs[0] / "series.csv").is_file()
+        _fast_verify_kernel(monkeypatch)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["verify-kernel", "--seed", "1"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert len(list((tmp_path / "runs").iterdir())) == 1
+
+    def test_verify_writes_into_the_config_output_dir(self, tmp_path, clean_env,
+                                                      monkeypatch, capsys):
+        _fast_verify_kernel(monkeypatch)
+        cfg = tmp_path / "vk.yaml"
+        cfg.write_text(f"output:\n  dir: '{tmp_path / 'from_file'}'\n")
+        assert main(["verify-kernel", "--config", str(cfg), "--seed", "1"]) == 0
+        report = json.loads((tmp_path / "from_file" / "verify_kernel.json").read_text())
+        assert report["passed"] is True
+
+    def test_report_out_env_used_when_flag_absent(self, run_dir, capsys):
+        tmp_path, cfg_path = run_dir
+        assert _simulate(cfg_path, tmp_path / "sim") == 0
+        capsys.readouterr()
+        os.environ["WAVEKIN_OUT"] = str(tmp_path / "env_rep")
+        try:
+            rc = main(["report", str(tmp_path / "sim" / "series.csv")])
+        finally:
+            del os.environ["WAVEKIN_OUT"]
+        assert rc == 0
+        on_disk = json.loads((tmp_path / "env_rep" / "report.json").read_text())
+        assert on_disk == json.loads(capsys.readouterr().out)
+
 
 class TestReportCommand:
     def test_report_from_series(self, run_dir, capsys):
@@ -420,16 +492,29 @@ class TestImportGuard:
     def test_simulate_and_report_never_import_scipy(self, run_dir):
         # SciPy costs ~1 s of import time; only the geometry suite may load it
         tmp_path, cfg_path = run_dir
-        src = str(Path(wavekin.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, str(cfg_path), str(tmp_path / "sim")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result == {"codes": [0, 0], "scipy": []}
+
+
+def _fast_verify_kernel(monkeypatch, bad_calls=()):
+    """Make verify-kernel quick: equal-radii quadruples, except at the
+    sampler calls numbered in ``bad_calls``, which get one outside the
+    (pi/4)*min cone, and the closed form in place of quadrature."""
+    import wavekin.cli as cli
+
+    calls = []
+
+    def quadruple(d, rng):
+        calls.append(1)
+        return (0.9, 0.7, 2.1, 1.3) if len(calls) in bad_calls else (1.0, 1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(cli, "resonant_quadruple", quadruple)
+    monkeypatch.setattr(cli, "sine_integral_oracle", cli.four_sine_closed_form)
 
 
 def _check_names(out: str):
@@ -455,18 +540,8 @@ class TestVerifyCommands:
     def test_verify_kernel_reports_a_min_identity_violation(self, tmp_path, clean_env,
                                                             capsys, monkeypatch):
         # the sampler yields one quadruple outside the (pi/4)*min cone
-        # (max + min > mid + mid) to the second check and one to the third;
-        # quadrature is swapped for the closed form to keep the run short
-        import wavekin.cli as cli
-
-        calls = []
-
-        def quadruple(d, rng):
-            calls.append(1)
-            return (0.9, 0.7, 2.1, 1.3) if len(calls) in (10, 30) else (1.0, 1.0, 1.0, 1.0)
-
-        monkeypatch.setattr(cli, "resonant_quadruple", quadruple)
-        monkeypatch.setattr(cli, "sine_integral_oracle", cli.four_sine_closed_form)
+        # (max + min > mid + mid) to the second check and one to the third
+        _fast_verify_kernel(monkeypatch, bad_calls=(10, 30))
         rc = main(["verify-kernel", "--seed", "1", "--out", str(tmp_path / "vk")])
         out = capsys.readouterr().out
         assert rc == 1

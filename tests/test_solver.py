@@ -162,6 +162,27 @@ class TestKernelTable:
             build_kernel_table(KernelWeights(), OmegaGrid(d_quad, 50_000, 4.0))
         assert len(calls) < 10
 
+    def test_each_row_intervals_computed_once(self, monkeypatch):
+        # the counting pass keeps every row's intervals for the fill pass
+        d = DispersionRelation.power_law(1.5)
+        grid = OmegaGrid(d, 64, 8.0)
+        kw = KernelWeights(cutoff_n=3.0)
+        want = _table_by_double_loop(kw, grid)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return l_intervals(*args)
+
+        l_intervals = solver._l_intervals
+        monkeypatch.setattr(solver, "_l_intervals", counted)
+        table = build_kernel_table(kw, grid)
+        band_rows = np.flatnonzero((grid.r >= 1.0 / 3.0) & (grid.r < 3.0))
+        assert 0 < band_rows.size < 63
+        assert calls == list(band_rows)
+        for name, expected in want.items():
+            assert np.array_equal(getattr(table, name), expected), name
+
 
 def _table_by_double_loop(kw, grid):
     """Table columns built pair by pair over (i, j), one l vector per pair.
@@ -509,6 +530,10 @@ class TestEvolve:
             evolve(table8_quad, s, t_end=1.0, max_dt=0.0)
         with pytest.raises(ValueError):
             evolve(table8_quad, s, t_end=1.0, max_steps=0)
+        for t_end, output_every in ((math.inf, 0.0), (math.nan, 0.0), (1.0, -1.0),
+                                    (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                evolve(table8_quad, s, t_end=t_end, output_every=output_every)
 
 
 def _hand_built(t, keep):
