@@ -8,7 +8,8 @@ The package is organized around seven pieces:
   product integral, the Xi weight, the truncated kernel) with independent
   numerical oracles.
 - ``solver``: uniform-frequency-grid discretization whose four-point
-  interaction stencil conserves mass and energy to rounding error.
+  interaction stencil conserves mass and energy to rounding error, with an
+  O(n^2) matrix-free collision operator.
 - ``diagnostics``: conserved quantities, band energies, convex-test-function
   production, and cascade trend reports.
 - ``resonance_geometry``: collision-region iteration, sphere-cap covering
@@ -30,6 +31,8 @@ from wavekin.collision_kernel import (
 from wavekin.solver import (
     OmegaGrid,
     SpectrumState,
+    CollisionOperator,
+    build_operator,
     KernelTable,
     build_kernel_table,
     rhs,
@@ -68,7 +71,8 @@ __all__ = [
     "DispersionRelation", "eval_omega", "eval_mho", "invert_omega",
     "KernelWeights", "four_sine_closed_form", "min_identity",
     "sine_integral_oracle", "xi_weight", "cutoff_kernel",
-    "OmegaGrid", "SpectrumState", "KernelTable", "build_kernel_table",
+    "OmegaGrid", "SpectrumState", "CollisionOperator", "build_operator",
+    "KernelTable", "build_kernel_table",
     "rhs", "step", "evolve", "transform_f_to_g", "transform_g_to_f",
     "gaussian_bump", "ring_in_r", "state_from_file",
     "DiagnosticsRecord", "mass", "energy", "band_energy", "low_mass",

@@ -36,7 +36,7 @@ from wavekin.solver import (
     ConservationError,
     MemoryBudgetError,
     StiffnessError,
-    build_kernel_table,
+    build_operator,
     evolve,
 )
 
@@ -101,10 +101,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     """Run the configured evolution and write the run artifacts to cfg.output.dir."""
     out_dir = cfg.output.dir
     grid = cfg.make_grid(cfg.make_dispersion())
-    table = build_kernel_table(cfg.make_kernel_weights(), grid)
+    op = build_operator(cfg.make_kernel_weights(), grid)
     state0 = cfg.make_initial_state(grid)
     series = evolve(
-        table, state0, cfg.integrator.t_end,
+        op, state0, cfg.integrator.t_end,
         output_every=cfg.integrator.output_every,
         diagnostics_config=cfg.make_diagnostics_config(),
         max_steps=cfg.integrator.max_steps,
@@ -127,7 +127,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     first, last = series[0][1], series[-1][1]
     summary = {
         "n_records": len(series),
-        "n_table_entries": table.n_entries,
+        "n_table_entries": op.n_entries,
         "final_time": last.time,
         "mass_initial": first.mass,
         "mass_final": last.mass,

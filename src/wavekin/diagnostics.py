@@ -143,9 +143,9 @@ def make_record(state, cfg: DiagnosticsConfig, deposits: Optional[np.ndarray],
     """Diagnostics of one state.
 
     ``brackets`` (from production_brackets for ``cfg.test_functions``) and
-    ``deposits`` (the operator's rho per table entry at this state, needed
-    only if there are brackets) give the convex production of each test
-    function.
+    ``deposits`` (rho per kernel-table entry at this state, from
+    solver._deposits; needed only if there are brackets) give the convex
+    production of each test function.
     """
     return DiagnosticsRecord(
         time=state.time,

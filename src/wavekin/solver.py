@@ -6,16 +6,26 @@ operator into a triple sum with the test-function bracket
     -phi(w) - phi(w1) + phi(w2) + phi(w + w1 - w2).
 
 On a uniform grid w_i = i*h the fourth frequency w_i + w_j - w_l lands exactly
-on node m = i + j - l, so each tabulated interaction deposits the conservative
-four-point stencil (-rho, -rho, +rho, +rho) at nodes (i, j, l, m) with
+on node m = i + j - l, so each admissible interaction (i, j, l, m) deposits
+the conservative four-point stencil (-rho, -rho, +rho, +rho) with
 
     rho = W_ijl * g_i * g_j * g_l * h^2.
 
-Both sum(rhs) and sum(rhs * omega) then cancel identically, term by term:
-mass and energy conservation hold to rounding error for any state, with no
-quadrature tuning.  Interactions are truncated by whole interaction classes
-(see _l_intervals) so the convexity monotonicity of the continuum
-operator survives discretization as well.
+Interactions are truncated by whole interaction classes (see _l_intervals) so
+the convexity monotonicity of the continuum operator survives discretization.
+
+The operator (CollisionOperator) never lists the O(n^3) interactions.  For
+each pair (s = i + j, i) the admissible l form one interval, and the min in W
+splits it into three regions in which rho factors into a pair part times an
+l part; so every loss is a sum of three l-range sums per (s, i) and every
+gain a sum of three i-range sums per (s, l), O(n^2) work in all.  Each range
+sum is a difference of compensated row prefix sums, certified by an a-priori
+error bound or else summed directly.  Mass and energy therefore cancel to the
+rounding of the totals rather than term by term.
+
+The O(n^3) KernelTable (build_kernel_table) lists the same interactions one
+by one.  Only convex production needs it, because it weighs every deposit by
+its own bracket; evolve builds it only when test functions are recorded.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from wavekin import diagnostics as _diag
 __all__ = [
     "OmegaGrid",
     "SpectrumState",
+    "CollisionOperator",
+    "build_operator",
     "KernelTable",
     "build_kernel_table",
     "rhs",
@@ -208,6 +220,17 @@ def _l_intervals(
     return lo, np.maximum(hi - lo + 1, 0)
 
 
+def _band(kw: KernelWeights, grid: OmegaGrid) -> tuple[int, int]:
+    """Index range (c0, c1) of the nodes whose radii lie in the band [1/n, n)."""
+    r = grid.r
+    ncut = kw.cutoff_n
+    if math.isfinite(ncut):
+        # the grid's radii increase strictly, so the band is an index range
+        return (int(np.searchsorted(r, 1.0 / ncut)),
+                int(np.searchsorted(r, ncut)) - 1)
+    return 1, grid.n_nodes - 1  # the origin node carries no interactions
+
+
 def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
     """Enumerate admissible interaction triples and their kernel weights.
 
@@ -223,13 +246,7 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
     n = grid.n_nodes
     r = grid.r
     mho = grid.mho
-    ncut = kw.cutoff_n
-    if math.isfinite(ncut):
-        # the grid's radii increase strictly, so the band is an index range
-        band = (int(np.searchsorted(r, 1.0 / ncut)),
-                int(np.searchsorted(r, ncut)) - 1)
-    else:
-        band = (1, n - 1)  # the origin node carries no interactions
+    band = _band(kw, grid)
 
     # First pass: each row's partners j >= i, their first l and l counts,
     # counted so the budget check precedes allocation.
@@ -245,7 +262,8 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
             raise MemoryBudgetError(
                 f"kernel table needs at least {bytes_needed / 2**20:.0f} MiB for "
                 f"the {count} entries counted so far, over the "
-                f"{MAX_TABLE_BYTES / 2**20:.0f} MiB budget; reduce n_nodes"
+                f"{MAX_TABLE_BYTES / 2**20:.0f} MiB budget; reduce n_nodes or "
+                f"drop diagnostics.test_functions, whose production needs the table"
             )
 
     ii = np.empty(count, dtype=np.int32)
@@ -283,17 +301,18 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
     return table
 
 
-def _check_same_grid(table: KernelTable, state: SpectrumState) -> None:
-    """Reject a state whose grid differs from the table's in nodes or radii.
+def _check_same_grid(op, state: SpectrumState) -> None:
+    """Reject a state whose grid differs from op's (an operator or a table)
+    in nodes or radii.
 
     Equal radii on equal nodes mean an equal dispersion on the grid, so an
     equal-valued grid object is accepted.
     """
-    g1, g2 = state.grid, table.grid
+    g1, g2 = state.grid, op.grid
     if g1 is not g2 and (g1.n_nodes != g2.n_nodes or g1.h != g2.h
                          or not np.array_equal(g1.r, g2.r)):
         raise ValueError(
-            "state and kernel table live on different grids "
+            f"state and {type(op).__name__} live on different grids "
             f"({g1.n_nodes} nodes, h={g1.h:g}, alpha={g1.d.alpha:g} vs "
             f"{g2.n_nodes}, h={g2.h:g}, alpha={g2.d.alpha:g})"
         )
@@ -312,28 +331,226 @@ def _deposits(table: KernelTable, g: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _rhs_of_g(table: KernelTable, g: np.ndarray, deposits: bool = False):
-    """The operator at density g; with ``deposits``, also its rho per entry.
+# --- the matrix-free operator -------------------------------------------------
 
-    Each deposit is gained at the l and m ends of its entry and lost at the
-    i and j ends.
+_U = 2.0 ** -53
+#: A range sum whose a-priori error bound exceeds this fraction of its value
+#: is summed directly instead.
+RANGE_RTOL = 1e-14
+
+
+@dataclass(frozen=True, eq=False)
+class CollisionOperator:
+    """Everything about the collision operator that does not depend on g.
+
+    Notation: i <= j are the pair's nodes, s = i + j, m = s - l, a = g / r
+    and K = c_q h^2.  The min in W is r_l in region A (l <= i), r_i in B
+    (i < l < j) and r_m in C (l >= j, l > i), so each deposit factors as
+
+        A: K mult a_i a_j * g_l mho_m
+        B: K mult g_i a_j * a_l mho_m
+        C: K mult a_i a_j * a_l r_m mho_m.
+
+    Rows are s = 2 c0 .. 2 c1 over the radius band [c0, c1], and columns are
+    band nodes (l for the loss terms, i for the gain terms) after a zero
+    column, so a range of a row is the difference of two prefix positions.
+    Range ends are flat int32 indices into a stack of such matrices: three
+    loss planes (g_l, a_l and a_l r_m, each times mho_m) and two gain planes
+    (mult a_i a_j and mult g_i a_j, whose columns past i = s/2 no range
+    reaches).  A value of s - l (or of s - i) is constant along a diagonal
+    of such a matrix, so ``mho_sl`` and ``rmho_sl`` are strided views of
+    one value per diagonal.  Node indices
+    ``pair_*`` and ``cell_l`` are relative to c0; ``loss_nodes`` and
+    ``gain_nodes`` are absolute.
     """
-    rho = _deposits(table, g)
-    n = table.grid.n_nodes
-    gain_l, gain_m, loss_i, loss_j = (np.bincount(idx, weights=rho, minlength=n)
-                                      for idx in (table.l, table.m, table.i, table.j))
-    out = gain_l + gain_m - loss_i - loss_j
-    return (out, rho) if deposits else out
+
+    grid: OmegaGrid
+    kw: KernelWeights
+    band: tuple[int, int]
+    #: number of admissible interactions, the entries build_kernel_table lists
+    n_entries: int
+    r_band: np.ndarray = field(repr=False)
+    mho_sl: np.ndarray = field(repr=False)   # mho_{s-l}, 0 where s-l is no node
+    rmho_sl: np.ndarray = field(repr=False)  # r_{s-l} mho_{s-l}
+    i_is_j: np.ndarray = field(repr=False)   # flat (s, i = s/2) positions
+    loss_ends: np.ndarray = field(repr=False)  # (2, 3 pairs): A, B, C starts/ends
+    pair_i: np.ndarray = field(repr=False)
+    pair_j: np.ndarray = field(repr=False)
+    pair_kmult: np.ndarray = field(repr=False)  # K * mult
+    loss_nodes: np.ndarray = field(repr=False)  # i then j of every pair
+    gain_ends: np.ndarray = field(repr=False)  # (2, 3 cells): A, B, C starts/ends
+    cell_l: np.ndarray = field(repr=False)
+    cell_kmho: np.ndarray = field(repr=False)   # K mho_m
+    cell_krmho: np.ndarray = field(repr=False)  # K r_m mho_m
+    gain_nodes: np.ndarray = field(repr=False)  # l then m of every cell
 
 
-def rhs(table: KernelTable, state: SpectrumState) -> np.ndarray:
+def _flat_ranges(plane, row, lo, hi, c0: int, shape) -> np.ndarray:
+    """Flat (start, end) prefix positions of node ranges [lo, hi] in rows of
+    planes of a (planes, rows, band + 1) stack; an empty range is (0, 0)."""
+    _, n_rows, width = shape
+    base = (plane * n_rows + row) * width
+    empty = lo > hi
+    return np.stack([np.where(empty, 0, base + lo - c0),
+                     np.where(empty, 0, base + hi - c0 + 1)])
+
+
+def _by_diagonal(values: np.ndarray, nb: int) -> np.ndarray:
+    """The (rows, nb) matrix M[row, col] = values[row - col + nb - 1], a view."""
+    return np.lib.stride_tricks.sliding_window_view(values, nb)[:, ::-1]
+
+
+def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
+    """Set up the O(n^2) collision operator: pair and cell lists, range ends
+    and the mho_{s-l} matrices, all over the radius band and with no loop
+    over s."""
+    n = grid.n_nodes
+    c0, c1 = _band(kw, grid)
+    nb = max(c1 - c0 + 1, 0)
+    n_rows = max(2 * nb - 1, 0)
+    if 3 * n_rows * (nb + 1) > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} nodes overflow the operator's int32 indices")
+    s = np.arange(2 * c0, 2 * c0 + n_rows)[:, None]
+    x = np.arange(c0, c0 + nb)[None, :]  # a band node: l or i
+    K = kw.c_q * grid.h ** 2
+
+    m = c0 - nb + 1 + np.arange(n_rows + nb - 1)  # s - x on each diagonal
+    node = (m >= 1) & (m <= n - 1)
+    mho_m = np.where(node, grid.mho[np.clip(m, 0, n - 1)], 0.0)
+    rmho_m = np.where(node, grid.r[np.clip(m, 0, n - 1)], 0.0) * mho_m
+    j = s - x
+    paired = (j >= x) & (j <= c1)
+
+    # pairs (s, i): the loss at i and j is K mult a_j (a_i (A + C) + g_i B)
+    # with l-range sums A over [lo, i] (hi >= i for every pair), B over
+    # [i+1, min(j-1, hi)] and C over [max(j, i+1), hi]
+    row, col = np.nonzero(paired)
+    ps, pi = s[row, 0], x[0, col]
+    pj = ps - pi
+    lo = np.maximum(ps - n + 1, c0)
+    hi = np.minimum(np.minimum(ps - 1, n - 1 - (pj - pi)), c1)
+    shape = (3, n_rows, nb + 1)
+    loss_ends = np.concatenate([
+        _flat_ranges(0, row, lo, pi, c0, shape),
+        _flat_ranges(1, row, pi + 1, np.minimum(pj - 1, hi), c0, shape),
+        _flat_ranges(2, row, np.maximum(pj, pi + 1), hi, c0, shape)], axis=1)
+
+    # cells (s, l): the gain at l and m is K (g_l mho_m A + a_l mho_m B +
+    # a_l r_m mho_m C) with i-range sums of mult a_i a_j (A, C) and of
+    # mult g_i a_j (B); l <= hi(s, i) is i >= q
+    row, col = np.nonzero((x >= s - n + 1) & (x <= s - 1))
+    cs, cl = s[row, 0], x[0, col]
+    i_min, i_max = np.maximum(c0, cs - c1), cs // 2
+    q = -((n - 1 - cl - cs) // 2)
+    ranges = [(0, np.maximum(cl, i_min), i_max),
+              (1, np.maximum(i_min, q), np.minimum(np.minimum(i_max, cl - 1), cs - cl - 1)),
+              (0, np.maximum(np.maximum(i_min, cs - cl), q), np.minimum(i_max, cl - 1))]
+    keep = np.any([a <= b for _, a, b in ranges], axis=0)
+    row, cs, cl = row[keep], cs[keep], cl[keep]
+    gain_ends = np.concatenate([_flat_ranges(plane, row, a[keep], b[keep], c0, shape)
+                                for plane, a, b in ranges], axis=1)
+
+    def index(a):
+        return np.ascontiguousarray(a, dtype=np.int32)
+
+    cm = cs - cl
+    op = CollisionOperator(
+        grid=grid, kw=kw, band=(c0, c1), n_entries=int((hi - lo + 1).sum()),
+        r_band=grid.r[c0:c0 + nb], mho_sl=_by_diagonal(mho_m, nb),
+        rmho_sl=_by_diagonal(rmho_m, nb),
+        i_is_j=index(np.arange(nb) * (2 * nb + 3) + 1),  # row 2k, column k + 1
+        loss_ends=index(loss_ends), pair_i=index(pi - c0), pair_j=index(pj - c0),
+        pair_kmult=np.where(pi < pj, 2.0 * K, K), loss_nodes=index(np.concatenate((pi, pj))),
+        gain_ends=index(gain_ends), cell_l=index(cl - c0),
+        cell_kmho=K * grid.mho[cm], cell_krmho=K * grid.r[cm] * grid.mho[cm],
+        gain_nodes=index(np.concatenate((cl, cm))),
+    )
+    for name in ("r_band", "mho_sl", "rmho_sl", "i_is_j", "loss_ends",
+                 "pair_i", "pair_j", "pair_kmult", "loss_nodes", "gain_ends",
+                 "cell_l", "cell_kmho", "cell_krmho", "gain_nodes"):
+        getattr(op, name).flags.writeable = False
+    return op
+
+
+def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sum of terms.flat[a+1 .. b] for each column (a, b) of ``ends``.
+
+    ``terms`` is nonnegative, with a zero first column, and every range lies
+    in one row.  The sums are differences of Sum2 row prefix sums (Ogita,
+    Rump & Oishi 2005): np.cumsum S, plus the cumulative sum E of each step's
+    exact TwoSum error.  A range whose a-priori bound u|v| + gamma_k^2 S_b
+    (k the row length, S_b the prefix total) exceeds RANGE_RTOL of its value
+    v is summed directly from its terms instead.
+    """
+    k = terms.shape[-1] - 1
+    S = np.cumsum(terms, axis=-1)
+    E = np.empty_like(S)
+    E[..., 0] = 0.0
+    prev, t, err = S[..., :-1], S[..., 1:], E[..., 1:]
+    bb = t - prev
+    np.subtract(t, bb, out=err)
+    np.subtract(prev, err, out=err)
+    np.subtract(terms[..., 1:], bb, out=bb)
+    err += bb
+    del bb
+    np.cumsum(E, axis=-1, out=E)
+    S, E = S.ravel(), E.ravel()
+    start, end = ends
+    top = S.take(end)
+    v = (top - S.take(start)) + (E.take(end) - E.take(start))
+    gamma = k * _U / (1.0 - k * _U)
+    bad = np.flatnonzero(top * (gamma * gamma / (RANGE_RTOL - _U)) > np.abs(v))
+    if bad.size:
+        first, lens = start[bad] + np.int64(1), (end[bad] - start[bad]).astype(np.int64)
+        heads = np.cumsum(lens) - lens
+        pos = np.repeat(first - heads, lens) + np.arange(heads[-1] + lens[-1])
+        v[bad] = np.add.reduceat(terms.ravel().take(pos), heads)
+    return v
+
+
+def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
+    """The operator at density g: gains at l and m minus losses at i and j."""
+    if not op.n_entries:  # a band with no node
+        return np.zeros(op.grid.n_nodes)
+    c0, c1 = op.band
+    gb = g[c0:c1 + 1]
+    ab = gb / op.r_band
+    n_rows, nb = op.mho_sl.shape
+
+    terms = np.empty((3, n_rows, nb + 1))
+    terms[:, :, 0] = 0.0
+    np.multiply(gb, op.mho_sl, out=terms[0, :, 1:])
+    np.multiply(ab, op.mho_sl, out=terms[1, :, 1:])
+    np.multiply(ab, op.rmho_sl, out=terms[2, :, 1:])
+    A, B, C = _range_sums(terms, op.loss_ends).reshape(3, -1)
+    ai = ab.take(op.pair_i)
+    loss = op.pair_kmult * ab.take(op.pair_j) * (ai * (A + C) + gb.take(op.pair_i) * B)
+
+    # 2 a_{s-i}, zero where s - i leaves the band; a pair i = j counts once
+    two_a = np.zeros(n_rows + nb - 1)
+    np.multiply(ab, 2.0, out=two_a[nb - 1:2 * nb - 1])
+    aj = _by_diagonal(two_a, nb)
+    terms = terms[:2]
+    np.multiply(ab, aj, out=terms[0, :, 1:])
+    np.multiply(gb, aj, out=terms[1, :, 1:])
+    terms.reshape(2, -1)[:, op.i_is_j] *= 0.5
+    A, B, C = _range_sums(terms, op.gain_ends).reshape(3, -1)
+    al = ab.take(op.cell_l)
+    gain = op.cell_kmho * (gb.take(op.cell_l) * A + al * B) + op.cell_krmho * al * C
+
+    n = op.grid.n_nodes
+    return (np.bincount(op.gain_nodes, np.concatenate((gain, gain)), n)
+            - np.bincount(op.loss_nodes, np.concatenate((loss, loss)), n))
+
+
+def rhs(op: CollisionOperator, state: SpectrumState) -> np.ndarray:
     """Instantaneous dg/dt per node from the four-point interaction stencil."""
-    _check_same_grid(table, state)
-    return _rhs_of_g(table, state.g)
+    _check_same_grid(op, state)
+    return _rhs_of_g(op, state.g)
 
 
 def step(
-    table: KernelTable,
+    op: CollisionOperator,
     state: SpectrumState,
     dt: float,
     *,
@@ -341,25 +558,25 @@ def step(
 ) -> SpectrumState:
     """Advance one RK4 step, halving dt (at most 30 times) to keep g >= 0.
 
-    ``k1``, if given, must be ``rhs(table, state)``; it saves that evaluation.
-    It does not depend on dt, so every halving reuses it.  The stencil
-    conserves mass and energy stage by stage, so any accepted step inherits
-    conservation to rounding error regardless of dt.
+    ``k1``, if given, must be ``rhs(op, state)``; it saves that evaluation.
+    It does not depend on dt, so every halving reuses it.  Every stage's
+    rate conserves mass and energy to rounding, so any accepted step does
+    too, regardless of dt.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_same_grid(table, state)
+    _check_same_grid(op, state)
 
     g0 = state.g
     if k1 is None:
-        k1 = _rhs_of_g(table, g0)
+        k1 = _rhs_of_g(op, g0)
     elif np.shape(k1) != g0.shape:
         raise ValueError(f"k1 has shape {np.shape(k1)} for a {g0.size}-node state")
     trial = float(dt)
     for _ in range(31):
-        k2 = _rhs_of_g(table, g0 + 0.5 * trial * k1)
-        k3 = _rhs_of_g(table, g0 + 0.5 * trial * k2)
-        k4 = _rhs_of_g(table, g0 + trial * k3)
+        k2 = _rhs_of_g(op, g0 + 0.5 * trial * k1)
+        k3 = _rhs_of_g(op, g0 + 0.5 * trial * k2)
+        k4 = _rhs_of_g(op, g0 + trial * k3)
         g1 = g0 + (trial / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.all(g1 >= 0.0):
             return SpectrumState(g=g1, time=state.time + trial, grid=state.grid)
@@ -372,7 +589,7 @@ def step(
 
 
 def evolve(
-    table: KernelTable,
+    op: CollisionOperator,
     state0: SpectrumState,
     t_end: float,
     output_every: float = 0.0,
@@ -390,11 +607,15 @@ def evolve(
     Diagnostics are recorded at t=0, at the first accepted step past each
     multiple of ``output_every`` after t=0 (every accepted step if 0, or if
     below the clock's resolution of 1e-14 * max(1, |end time|)), and at the
-    end.  The operator is evaluated once per state: that evaluation sets dt,
-    is the step's k1 and gives the record its deposits.  Returns a list of (state, record) pairs.  Every record's mass
-    and energy are compared with the first record's: ConservationError is
-    raised at the first record where either has drifted by more than 1e-10
-    relative, and names the quantity, the drift and that record's time.
+    end.  The operator is evaluated once per state: that evaluation sets dt
+    and is the step's k1.  Test functions in ``diagnostics_config`` make
+    evolve build the kernel table (build_kernel_table), from which each
+    record gathers its deposits for convex production; without them no
+    table is built.  Returns a list of (state, record) pairs.  Every
+    record's mass and energy are compared with the first record's:
+    ConservationError is raised at the first record where either has
+    drifted by more than 1e-10 relative, and names the quantity, the drift
+    and that record's time.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
@@ -404,22 +625,19 @@ def evolve(
         raise ValueError(f"max_dt must be positive, got {max_dt}")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    _check_same_grid(table, state0)
+    _check_same_grid(op, state0)
     cfg = diagnostics_config if diagnostics_config is not None else _diag.DiagnosticsConfig()
+    table = build_kernel_table(op.kw, op.grid) if cfg.test_functions else None
     brackets = _diag.production_brackets(table, cfg.test_functions)
     out = []
 
-    def record(s: SpectrumState) -> Optional[np.ndarray]:
-        """Append the record of s and check its drift from the first record;
-        return the operator at s if it was evaluated.
+    def record(s: SpectrumState) -> None:
+        """Append the record of s and check its drift from the first record.
 
-        Convex production needs the operator's deposits at s, so with test
-        functions the record evaluates it, and the next step reuses that
-        evaluation as its k1.  The deposits are dropped with the record.
+        Convex production weighs each table entry's deposit at s by its
+        bracket; the deposits are dropped with the record.
         """
-        k = rho = None
-        if brackets:
-            k, rho = _rhs_of_g(table, s.g, deposits=True)
+        rho = _deposits(table, s.g) if brackets else None
         rec = _diag.make_record(s, cfg, rho, brackets)
         out.append((s, rec))
         first = out[0][1]
@@ -431,9 +649,8 @@ def evolve(
                     f"{name} drifted by {drift:.3e} relative at t={rec.time:g} "
                     f"(tolerance 1e-10)"
                 )
-        return k
 
-    r = record(state0)
+    record(state0)
     t0 = state0.time
     target = t0 + t_end
     state = state0
@@ -443,8 +660,7 @@ def evolve(
     while state.time < target - tiny:
         if max_steps is not None and steps >= max_steps:
             break
-        if r is None:
-            r = _rhs_of_g(table, state.g)
+        r = _rhs_of_g(op, state.g)
         if np.any(r):
             # every deposit is cubic in g, so r != 0 implies max(g) > 0
             floor = 1e-3 * float(state.g.max())
@@ -454,15 +670,14 @@ def evolve(
         if max_dt is not None:
             dt = min(dt, max_dt)
         dt = min(dt, target - state.time)
-        state = step(table, state, dt, k1=r)
+        state = step(op, state, dt, k1=r)
         steps += 1
-        r = None
         # a cadence no coarser than the clock's resolution makes every step
         # a new period
         now = (state.time - t0 + tiny) // output_every if output_every > tiny else steps
         if now > periods:
             periods = now
-            r = record(state)
+            record(state)
 
     if out[-1][0] is not state:
         record(state)

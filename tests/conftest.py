@@ -1,8 +1,9 @@
-"""Shared fixtures: dispersions, grids, and kernel tables reused across tests.
+"""Shared fixtures: dispersions, grids, collision operators and kernel tables.
 
 Kernel tables are session-scoped because enumeration cost grows like n^3;
 everything here is immutable (frozen dataclasses, read-only arrays), so
-sharing across tests is safe.
+sharing across tests is safe.  table_rhs is the operator summed entry by
+entry over a kernel table, the oracle of the matrix-free operator.
 """
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 
 from wavekin.collision_kernel import KernelWeights
 from wavekin.dispersion import DispersionRelation
-from wavekin.solver import OmegaGrid, SpectrumState, build_kernel_table
+from wavekin.solver import (
+    OmegaGrid,
+    SpectrumState,
+    _deposits,
+    build_kernel_table,
+    build_operator,
+)
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +52,16 @@ def table8_mid(grid8_mid):
 
 
 @pytest.fixture(scope="session")
+def op8_quad(grid8_quad):
+    return build_operator(KernelWeights(), grid8_quad)
+
+
+@pytest.fixture(scope="session")
+def op8_mid(grid8_mid):
+    return build_operator(KernelWeights(), grid8_mid)
+
+
+@pytest.fixture(scope="session")
 def grid32_quad(d_quad) -> OmegaGrid:
     return OmegaGrid(d_quad, 32, 4.0)
 
@@ -52,6 +69,31 @@ def grid32_quad(d_quad) -> OmegaGrid:
 @pytest.fixture(scope="session")
 def table32_quad(grid32_quad):
     return build_kernel_table(KernelWeights(), grid32_quad)
+
+
+@pytest.fixture(scope="session")
+def op32_quad(grid32_quad):
+    return build_operator(KernelWeights(), grid32_quad)
+
+
+def table_rhs(table, g: np.ndarray):
+    """The operator at g by bincounts over the table's entries, and rho.
+
+    Each entry's deposit is gained at its l and m ends and lost at its i
+    and j ends.
+    """
+    rho = _deposits(table, g)
+    n = table.grid.n_nodes
+    gain_l, gain_m, loss_i, loss_j = (np.bincount(idx, weights=rho, minlength=n)
+                                      for idx in (table.l, table.m, table.i, table.j))
+    return gain_l + gain_m - loss_i - loss_j, rho
+
+
+def deposit_scale(table, rho: np.ndarray) -> np.ndarray:
+    """Per node, the sum of |rho| over the entries that touch it."""
+    n = table.grid.n_nodes
+    return sum(np.bincount(idx, weights=rho, minlength=n)
+               for idx in (table.l, table.m, table.i, table.j))
 
 
 def random_state(grid: OmegaGrid, rng: np.random.Generator) -> SpectrumState:

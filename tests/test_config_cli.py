@@ -18,8 +18,11 @@ import pytest
 import yaml
 
 import wavekin
+from wavekin import cli, solver
 from wavekin.cli import main
+from wavekin.collision_kernel import KernelWeights
 from wavekin.config import ConfigError, RunConfig, load_config_file, parse_config
+from wavekin.dispersion import DispersionRelation
 from wavekin.solver import ring_in_r
 
 MINI_YAML = """
@@ -331,13 +334,41 @@ class TestSimulateCommand:
         assert "line 3, key 'integrator.safety': unknown key" in capsys.readouterr().err
 
     def test_runtime_failure_exits_1(self, tmp_path, clean_env, capsys):
-        # 640 nodes at alpha 2 need about 2,129 MiB of table, over the fixed
+        # with a test function, whose production needs the kernel table, 640
+        # nodes at alpha 2 need about 2,129 MiB of table, over the fixed
         # 512 MiB budget: MemoryBudgetError -> 1
         cfg = tmp_path / "huge.yaml"
-        cfg.write_text("grid:\n  n_nodes: 640\n")
+        cfg.write_text("grid:\n  n_nodes: 640\n"
+                       "diagnostics:\n  test_functions: [quadratic]\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "budget" in err and "n_nodes" in err
+        assert "diagnostics.test_functions" in err
+
+    @pytest.mark.parametrize("test_functions, tables", [("[]", 0), ("[quadratic]", 1)])
+    def test_table_built_only_for_test_functions(self, tmp_path, clean_env, monkeypatch,
+                                                 test_functions, tables):
+        # the operator never needs the O(n^3) table; convex production does
+        calls = []
+        build = solver.build_kernel_table
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (solver, cli):  # every binding of the builder
+            if vars(module).get("build_kernel_table") is build:
+                monkeypatch.setattr(module, "build_kernel_table", counted)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("grid:\n  n_nodes: 24\nintegrator:\n  t_end: 0.01\n"
+                       f"diagnostics:\n  test_functions: {test_functions}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == tables
+        # the summary's entry count is the table's, with or without a table
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        grid = solver.OmegaGrid(DispersionRelation.power_law(2.0), 24, 4.0)  # defaults
+        assert summary["n_table_entries"] == build(KernelWeights(), grid).n_entries
 
 
 class TestPrecedence:

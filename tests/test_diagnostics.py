@@ -37,7 +37,7 @@ from wavekin.dispersion import DispersionRelation
 from wavekin.solver import (
     OmegaGrid,
     SpectrumState,
-    _rhs_of_g,
+    _deposits,
     build_kernel_table,
     gaussian_bump,
     rhs,
@@ -126,11 +126,11 @@ class TestConvexProduction:
                 worst = min(worst, prod / max(scale, 1e-300))
         assert worst >= -1e-10
 
-    def test_matches_chain_rule_identity(self, table8_mid, grid8_mid):
+    def test_matches_chain_rule_identity(self, table8_mid, op8_mid, grid8_mid):
         rng = np.random.default_rng(5)
         s = random_state(grid8_mid, rng)
         phi = quadratic_test()
-        expected = float(np.sum(phi(grid8_mid.omega) * rhs(table8_mid, s)) * grid8_mid.h)
+        expected = float(np.sum(phi(grid8_mid.omega) * rhs(op8_mid, s)) * grid8_mid.h)
         got = convex_production(table8_mid, s, phi)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -195,7 +195,7 @@ class TestRecords:
             deltas=(0.5,),
             test_functions=registry(["quadratic"]),
         )
-        _, rho = _rhs_of_g(table8_mid, s.g, deposits=True)
+        rho = _deposits(table8_mid, s.g)
         rec = make_record(s, cfg, rho, production_brackets(table8_mid, cfg.test_functions))
         assert rec.time == 0.0
         assert set(rec.band_energy) == {1.0, 2.0}
@@ -306,7 +306,8 @@ def _kendall_cases():
         yield n, "random", rng.random(n), rng.random(n)
         yield n, "ties_in_x", rng.integers(0, 4, n).astype(float), rng.random(n)
         yield n, "ties_in_y", t, rng.integers(0, 4, n).astype(float)
-        yield n, "ties_in_both", rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float)
+        yield (n, "ties_in_both", rng.integers(0, 3, n).astype(float),
+               rng.integers(0, 3, n).astype(float))
         yield n, "plateaus", t, np.floor(np.linspace(0.0, 4.0, n))
         yield n, "increasing", t, np.exp(t / n)
         yield n, "decreasing", t, -t

@@ -1,8 +1,9 @@
-"""Grid, kernel table, right-hand side, and time stepping.
+"""Grid, kernel table, collision operator, and time stepping.
 
-The deduplicated gather/scatter is validated against an undeduplicated
-triple-loop oracle written directly from the four-point stencil; the table
-weights are validated entry by entry against the scalar kernel function.
+The matrix-free operator is validated against the table's entry-by-entry
+sums (conftest.table_rhs) and against an undeduplicated triple-loop oracle
+written directly from the four-point stencil; the table weights are
+validated entry by entry against the scalar kernel function.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import deposit_scale, random_state, table_rhs
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
 from wavekin import solver
 from wavekin.diagnostics import (
@@ -29,6 +30,7 @@ from wavekin.solver import (
     SpectrumState,
     StiffnessError,
     build_kernel_table,
+    build_operator,
     evolve,
     gaussian_bump,
     rhs,
@@ -132,9 +134,10 @@ class TestKernelTable:
         # radii {sqrt(2), 2} all fall outside [1/1.2, 1.2)
         grid = OmegaGrid(d_quad, 3, 4.0)
         t = build_kernel_table(KernelWeights(cutoff_n=1.2), grid)
-        assert t.n_entries == 0
+        op = build_operator(KernelWeights(cutoff_n=1.2), grid)
+        assert t.n_entries == op.n_entries == 0
         s = SpectrumState(g=np.array([0.0, 1.0, 1.0]), time=0.0, grid=grid)
-        assert np.array_equal(rhs(t, s), np.zeros(3))
+        assert np.array_equal(rhs(op, s), np.zeros(3))
 
     def test_rebuild_is_deterministic(self, grid8_mid):
         a = build_kernel_table(KernelWeights(), grid8_mid)
@@ -266,25 +269,107 @@ def _rhs_brute_force(grid, kw, g):
     return out
 
 
+def _worst_oracle_gap(op, table, g):
+    """Largest |operator - table oracle| over the node's deposit scale; a
+    node no deposit touches must get exactly 0."""
+    want, rho = table_rhs(table, g)
+    scale = deposit_scale(table, rho)
+    got = solver._rhs_of_g(op, g)
+    assert np.all(got[scale == 0.0] == 0.0)
+    touched = scale > 0.0
+    return float(np.max(np.abs(got - want)[touched] / scale[touched], initial=0.0))
+
+
+class TestCollisionOperator:
+    """The O(n^2) operator against the entry-by-entry sums over the table."""
+
+    @pytest.mark.parametrize("n_nodes", [24, 64, 128])
+    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_matches_the_table_oracle(self, alpha, cutoff_n, n_nodes):
+        grid = OmegaGrid(DispersionRelation.power_law(alpha), n_nodes, 8.0)
+        kw = KernelWeights(cutoff_n=cutoff_n)
+        op, table = build_operator(kw, grid), build_kernel_table(kw, grid)
+        # both range lists enumerate every table entry once
+        assert op.n_entries == table.n_entries > 0
+        for ends in (op.loss_ends, op.gain_ends):
+            assert int(np.sum(ends[1] - ends[0], dtype=np.int64)) == table.n_entries
+        rng = np.random.default_rng(1)
+        states = [rng.uniform(0.1, 2.0, n_nodes),
+                  np.exp(-0.5 * ((grid.omega - 4.0) / 0.6) ** 2),
+                  10.0 ** rng.uniform(-12.0, 0.0, n_nodes)]
+        for g in states:
+            g[0] = 0.0
+            assert _worst_oracle_gap(op, table, g) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_matches_the_table_oracle_on_bumps_over_a_floor(self, alpha, cutoff_n):
+        # a range inside the floor whose prefix holds the bump loses its
+        # value to the compensated difference; the certified fallback must
+        # catch every such range
+        grid = OmegaGrid(DispersionRelation.power_law(alpha), 96, 8.0)
+        kw = KernelWeights(cutoff_n=cutoff_n)
+        op, table = build_operator(kw, grid), build_kernel_table(kw, grid)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(150):
+            g = np.full(96, 10.0 ** rng.uniform(-60.0, -5.0))
+            width = int(rng.integers(1, 20))
+            start = int(rng.integers(1, 96 - width))
+            g[start:start + width] = rng.uniform(0.5, 1.5, width)
+            g[0] = 0.0
+            worst = max(worst, _worst_oracle_gap(op, table, g))
+        assert worst <= 1e-12
+
+    def test_range_sums_are_certified(self):
+        # rows spanning 40 decades, against exactly rounded sums
+        rng = np.random.default_rng(11)
+        terms = 10.0 ** rng.uniform(-40.0, 0.0, (2, 6, 201))
+        terms[..., 0] = 0.0
+        lo = rng.integers(0, 200, 3000)
+        hi = np.minimum(lo + rng.integers(1, 200, 3000), 200)
+        row = rng.integers(0, 12, 3000) * 201
+        ends = np.stack([row + lo, row + hi]).astype(np.int32)
+        got = solver._range_sums(terms, ends)
+        flat = terms.ravel()
+        want = np.array([math.fsum(flat[a + 1:b + 1]) for a, b in ends.T])
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_640_nodes_need_no_table_budget(self, d_quad):
+        # the table of this grid is over MAX_TABLE_BYTES
+        grid = OmegaGrid(d_quad, 640, 4.0)
+        with pytest.raises(MemoryBudgetError):
+            build_kernel_table(KernelWeights(), grid)
+        op = build_operator(KernelWeights(), grid)
+        assert op.n_entries > 54_000_000
+        g = gaussian_bump(grid, center=2.0, width=0.4, amplitude=1.0).g
+        out = solver._rhs_of_g(op, g)
+        assert np.all(np.isfinite(out)) and np.any(out)
+        total = float(np.sum(np.abs(out)))
+        assert abs(float(np.sum(out))) <= 1e-12 * total
+        assert abs(float(np.sum(out * grid.omega))) <= 1e-12 * total * grid.omega_max
+
+
 class TestRhs:
-    def test_matches_brute_force(self, table8_mid, grid8_mid):
+    def test_matches_brute_force(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(17)
         for _ in range(3):
             s = random_state(grid8_mid, rng)
-            expected = _rhs_brute_force(grid8_mid, table8_mid.kw, s.g)
-            got = rhs(table8_mid, s)
+            expected = _rhs_brute_force(grid8_mid, op8_mid.kw, s.g)
+            got = rhs(op8_mid, s)
             assert np.allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("which", ["quad", "mid"])
     def test_conserves_mass_and_energy(self, which, request):
+        op = request.getfixturevalue(f"op8_{which}")
         table = request.getfixturevalue(f"table8_{which}")
-        grid = table.grid
+        grid = op.grid
         rng = np.random.default_rng(29)
         for _ in range(10):
             s = random_state(grid, rng)
-            out, rho = solver._rhs_of_g(table, s.g, deposits=True)
-            scale = sum(np.bincount(idx, weights=rho, minlength=grid.n_nodes)
-                        for idx in (table.l, table.m, table.i, table.j))
+            out = rhs(op, s)
+            scale = deposit_scale(table, table_rhs(table, s.g)[1])
             h = grid.h
             mass_rate = abs(float(np.sum(out)) * h)
             energy_rate = abs(float(np.sum(out * grid.omega)) * h)
@@ -293,25 +378,25 @@ class TestRhs:
             assert mass_rate <= 1e-12 * mass_scale
             assert energy_rate <= 1e-12 * energy_scale
 
-    def test_zero_state_is_stationary(self, table8_quad, grid8_quad):
+    def test_zero_state_is_stationary(self, op8_quad, grid8_quad):
         s = SpectrumState(g=np.zeros(8), time=0.0, grid=grid8_quad)
-        assert np.array_equal(rhs(table8_quad, s), np.zeros(8))
+        assert np.array_equal(rhs(op8_quad, s), np.zeros(8))
 
-    def test_grid_mismatch_rejected(self, table8_quad, d_quad, d_mid):
+    def test_grid_mismatch_rejected(self, op8_quad, table8_quad, d_quad, d_mid):
         # other node count; same nodes and spacing under another dispersion
         for other in (OmegaGrid(d_quad, 12, 7.0), OmegaGrid(d_mid, 8, 7.0)):
             s = SpectrumState(g=np.ones(other.n_nodes), time=0.0, grid=other)
-            for use in (lambda: rhs(table8_quad, s),
-                        lambda: evolve(table8_quad, s, t_end=1.0),
+            for use in (lambda: rhs(op8_quad, s),
+                        lambda: evolve(op8_quad, s, t_end=1.0),
                         lambda: convex_production(table8_quad, s, quadratic_test())):
                 with pytest.raises(ValueError, match="different grids"):
                     use()
 
-    def test_equal_valued_grid_accepted(self, table8_quad, d_quad):
+    def test_equal_valued_grid_accepted(self, op8_quad, d_quad):
         # a distinct grid object with identical nodes is fine
         clone = OmegaGrid(d_quad, 8, 7.0)
         s = SpectrumState(g=np.ones(8), time=0.0, grid=clone)
-        rhs(table8_quad, s)  # must not raise
+        rhs(op8_quad, s)  # must not raise
 
 
 class TestTransforms:
@@ -388,64 +473,64 @@ class TestInitialStates:
 
 
 class TestStep:
-    def test_step_advances_and_stays_nonnegative(self, table8_mid, grid8_mid):
+    def test_step_advances_and_stays_nonnegative(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(101)
         s = random_state(grid8_mid, rng)
-        s2 = step(table8_mid, s, 1e-4)
+        s2 = step(op8_mid, s, 1e-4)
         assert s2.time == pytest.approx(1e-4)
         assert np.all(s2.g >= 0.0)
         assert s2 is not s
 
-    def test_step_conserves(self, table8_quad, grid8_quad):
+    def test_step_conserves(self, op8_quad, grid8_quad):
         rng = np.random.default_rng(7)
         s = random_state(grid8_quad, rng)
-        s2 = step(table8_quad, s, 1e-5)
+        s2 = step(op8_quad, s, 1e-5)
         h = grid8_quad.h
         assert float(np.sum(s2.g)) * h == pytest.approx(float(np.sum(s.g)) * h, rel=1e-13)
         e1 = float(np.sum(s.g * grid8_quad.omega)) * h
         e2 = float(np.sum(s2.g * grid8_quad.omega)) * h
         assert e2 == pytest.approx(e1, rel=1e-12)
 
-    def test_halving_keeps_nonnegativity(self, table8_mid, grid8_mid):
+    def test_halving_keeps_nonnegativity(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(23)
         s = random_state(grid8_mid, rng)
-        r = rhs(table8_mid, s)
+        r = rhs(op8_mid, s)
         sinks = r < 0.0
         assert sinks.any()
         dt_star = float(np.min(s.g[sinks] / -r[sinks]))
         # a step at 3x the first-crossing time must halve at least once
-        s2 = step(table8_mid, s, 3.0 * dt_star)
+        s2 = step(op8_mid, s, 3.0 * dt_star)
         assert np.all(s2.g >= 0.0)
         assert s2.time - s.time < 3.0 * dt_star
         assert s2.time - s.time >= 3.0 * dt_star / 2.0 ** 31
 
-    def test_stiffness_error_carries_state(self, table8_mid, grid8_mid):
+    def test_stiffness_error_carries_state(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(23)
         s = random_state(grid8_mid, rng)
         with pytest.raises(StiffnessError) as exc:
             with np.errstate(over="ignore", invalid="ignore"):
-                step(table8_mid, s, 1e30)
+                step(op8_mid, s, 1e30)
         assert exc.value.state is s
 
-    def test_validation(self, table8_mid, grid8_mid):
+    def test_validation(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(1)
         s = random_state(grid8_mid, rng)
         with pytest.raises(ValueError):
-            step(table8_mid, s, 0.0)
+            step(op8_mid, s, 0.0)
 
 
 class TestEvolve:
-    def test_zero_horizon_returns_initial_record(self, table8_quad, grid8_quad):
+    def test_zero_horizon_returns_initial_record(self, op8_quad, grid8_quad):
         rng = np.random.default_rng(2)
         s = random_state(grid8_quad, rng)
-        out = evolve(table8_quad, s, t_end=0.0)
+        out = evolve(op8_quad, s, t_end=0.0)
         assert len(out) == 1
         assert out[0][0] is s
         assert out[0][1].time == 0.0
 
-    def test_short_run_records_and_conserves(self, table32_quad, grid32_quad):
+    def test_short_run_records_and_conserves(self, op32_quad, grid32_quad):
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
-        out = evolve(table32_quad, s, t_end=0.01)
+        out = evolve(op32_quad, s, t_end=0.01)
         times = [rec.time for _, rec in out]
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.01, rel=1e-9)
@@ -454,45 +539,52 @@ class TestEvolve:
         assert abs(mN - m0) <= 1e-10 * m0
         assert all(np.all(st.g >= 0.0) for st, _ in out)
 
-    def test_output_every_thins_records(self, table32_quad, grid32_quad):
+    def test_output_every_thins_records(self, op32_quad, grid32_quad):
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
-        dense = evolve(table32_quad, s, t_end=0.01, output_every=0.0)
-        sparse = evolve(table32_quad, s, t_end=0.01, output_every=1.0)
+        dense = evolve(op32_quad, s, t_end=0.01, output_every=0.0)
+        sparse = evolve(op32_quad, s, t_end=0.01, output_every=1.0)
         assert len(sparse) == 2  # initial + final
         assert len(dense) > len(sparse)
 
-    def test_max_steps_caps_the_run(self, table32_quad, grid32_quad):
+    def test_max_steps_caps_the_run(self, op32_quad, grid32_quad):
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
-        out = evolve(table32_quad, s, t_end=1e9, max_steps=3)
+        out = evolve(op32_quad, s, t_end=1e9, max_steps=3)
         assert out[-1][0].time < 1e9
         assert len(out) <= 5
 
-    def test_max_dt_bounds_every_step(self, table32_quad, grid32_quad):
+    def test_max_dt_bounds_every_step(self, op32_quad, grid32_quad):
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
-        out = evolve(table32_quad, s, t_end=5e-4, max_dt=1e-4)
+        out = evolve(op32_quad, s, t_end=5e-4, max_dt=1e-4)
         times = np.array([st.time for st, _ in out])
         assert np.all(np.diff(times) <= 1e-4 * (1.0 + 1e-9))
 
     @staticmethod
-    def m_shifted(t):
-        # shifting every fourth index down by one keeps each deposit's
-        # (-rho, -rho, +rho, +rho) stencil, so mass is still conserved, but
-        # the frequencies no longer balance, so energy is not
+    def break_energy(table, monkeypatch):
+        """Make the operator sum the table with every fourth index shifted.
+
+        Shifting every fourth index down by one keeps each deposit's
+        (-rho, -rho, +rho, +rho) stencil, so mass is still conserved, but
+        the frequencies no longer balance, so energy is not.
+        """
+        t = table
         keep = t.m >= 2
-        return KernelTable(
+        shifted = KernelTable(
             grid=t.grid, kw=t.kw, i=t.i[keep], j=t.j[keep], l=t.l[keep],
             m=t.m[keep] - 1, w=t.w[keep], mult=t.mult[keep], coef=t.coef[keep])
+        monkeypatch.setattr(solver, "_rhs_of_g", lambda op, g: table_rhs(shifted, g)[0])
 
-    def test_energy_breach_raises(self, table32_quad, grid32_quad):
+    def test_energy_breach_raises(self, op32_quad, table32_quad, grid32_quad,
+                                  monkeypatch):
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
+        self.break_energy(table32_quad, monkeypatch)
         with pytest.raises(ConservationError, match="energy drifted"):
-            evolve(self.m_shifted(table32_quad), s, t_end=0.01)
+            evolve(op32_quad, s, t_end=0.01)
 
     def test_breach_raises_at_the_first_breaching_record(
-            self, table32_quad, grid32_quad, monkeypatch):
+            self, op32_quad, table32_quad, grid32_quad, monkeypatch):
         # energy drifts by about 1.15 relative per unit time here, so with
         # steps of 2e-11 a few records pass before one breaches 1e-10
-        broken = self.m_shifted(table32_quad)
+        self.break_energy(table32_quad, monkeypatch)
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
         make_record = solver._diag.make_record
         seen = []
@@ -503,7 +595,7 @@ class TestEvolve:
 
         monkeypatch.setattr(solver._diag, "make_record", spy)
         with pytest.raises(ConservationError, match="energy drifted") as exc:
-            evolve(broken, s, t_end=1e-9, max_dt=2e-11)
+            evolve(op32_quad, s, t_end=1e-9, max_dt=2e-11)
         e0 = seen[0].energy
         drifts = [abs(rec.energy - e0) / e0 for rec in seen]
         assert len(seen) > 2 and drifts[-1] > 1e-10
@@ -519,21 +611,21 @@ class TestEvolve:
 
         seen.clear()
         monkeypatch.setattr(solver._diag, "make_record", pinned)
-        evolve(broken, s, t_end=1e-9, max_dt=2e-11)
+        evolve(op32_quad, s, t_end=1e-9, max_dt=2e-11)
         assert n_breached < len(seen)
 
-    def test_validation(self, table8_quad, grid8_quad):
+    def test_validation(self, op8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
         with pytest.raises(ValueError):
-            evolve(table8_quad, s, t_end=-1.0)
+            evolve(op8_quad, s, t_end=-1.0)
         with pytest.raises(ValueError):
-            evolve(table8_quad, s, t_end=1.0, max_dt=0.0)
+            evolve(op8_quad, s, t_end=1.0, max_dt=0.0)
         with pytest.raises(ValueError):
-            evolve(table8_quad, s, t_end=1.0, max_steps=0)
+            evolve(op8_quad, s, t_end=1.0, max_steps=0)
         for t_end, output_every in ((math.inf, 0.0), (math.nan, 0.0), (1.0, -1.0),
                                     (1.0, math.inf), (1.0, math.nan)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                evolve(table8_quad, s, t_end=t_end, output_every=output_every)
+                evolve(op8_quad, s, t_end=t_end, output_every=output_every)
 
 
 def _hand_built(t, keep):
@@ -585,9 +677,9 @@ class TestOperatorReuse:
             counts["rhs"] += 1
             return rhs_of_g(*args, **kwargs)
 
-        def counting_step(table, state, dt, *args, **kwargs):
+        def counting_step(op, state, dt, *args, **kwargs):
             counts["step"] += 1
-            out = step_fn(table, state, dt, *args, **kwargs)
+            out = step_fn(op, state, dt, *args, **kwargs)
             assert out.time == state.time + dt  # no halving: 4 evaluations
             return out
 
@@ -598,53 +690,52 @@ class TestOperatorReuse:
     @pytest.mark.parametrize("output_every, max_steps", [(0.0, None), (0.004, None),
                                                          (0.0, 3), (1.0, 3)])
     @pytest.mark.parametrize("with_tests", [True, False])
-    def test_call_counts(self, counted, table32_quad, grid32_quad,
+    def test_call_counts(self, counted, op32_quad, table32_quad, grid32_quad,
                          output_every, max_steps, with_tests):
         # each step costs 4 evaluations, the first of them shared with the dt
-        # choice and, when there are test functions, with the record of the
-        # state it starts from; only the final record's evaluation is extra
+        # choice; records take their deposits from the table, not the operator
         tests = {"low_pass:2.0": kinked_low_pass(2.0), "quadratic": quadratic_test()}
         cfg = DiagnosticsConfig(test_functions=tests if with_tests else {})
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
-        out = evolve(table32_quad, s, t_end=0.01, output_every=output_every,
+        out = evolve(op32_quad, s, t_end=0.01, output_every=output_every,
                      max_steps=max_steps, diagnostics_config=cfg)
         assert counted["step"] >= 3
-        assert counted["rhs"] == 4 * counted["step"] + (1 if with_tests else 0)
+        assert counted["rhs"] == 4 * counted["step"]
         for state, rec in out:
             assert set(rec.convex_production) == (set(tests) if with_tests else set())
             for name, value in rec.convex_production.items():
                 assert value == convex_production(table32_quad, state, tests[name])[0]
 
     @pytest.mark.parametrize("with_tests", [True, False])
-    def test_zero_horizon(self, counted, table32_quad, grid32_quad, with_tests):
+    def test_zero_horizon(self, counted, op32_quad, grid32_quad, with_tests):
         cfg = DiagnosticsConfig(test_functions={"quadratic": quadratic_test()}
                                 if with_tests else {})
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
-        evolve(table32_quad, s, t_end=0.0, diagnostics_config=cfg)
-        assert counted == {"rhs": 1 if with_tests else 0, "step": 0}
+        evolve(op32_quad, s, t_end=0.0, diagnostics_config=cfg)
+        assert counted == {"rhs": 0, "step": 0}
 
     def test_nonconvex_test_function_rejected_before_any_step(
-            self, counted, table32_quad, grid32_quad):
+            self, counted, op32_quad, grid32_quad):
         cfg = DiagnosticsConfig(test_functions={"sine": lambda w: np.sin(w)})
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
         with pytest.raises(ValueError, match="not convex"):
-            evolve(table32_quad, s, t_end=0.01, diagnostics_config=cfg)
+            evolve(op32_quad, s, t_end=0.01, diagnostics_config=cfg)
         assert counted == {"rhs": 0, "step": 0}
 
-    def test_given_k1_is_bitwise_neutral(self, table8_mid, grid8_mid):
+    def test_given_k1_is_bitwise_neutral(self, op8_mid, grid8_mid):
         # the input of test_halving_keeps_nonnegativity: dt = 3 * dt_star
         # halves at least once, and k1 is reused by every halving
         s = random_state(grid8_mid, np.random.default_rng(23))
-        r = rhs(table8_mid, s)
+        r = rhs(op8_mid, s)
         sinks = r < 0.0
         dt_star = float(np.min(s.g[sinks] / -r[sinks]))
         for dt in (0.1 * dt_star, 3.0 * dt_star, 50.0 * dt_star):
-            plain = step(table8_mid, s, dt)
-            given = step(table8_mid, s, dt, k1=rhs(table8_mid, s))
+            plain = step(op8_mid, s, dt)
+            given = step(op8_mid, s, dt, k1=rhs(op8_mid, s))
             assert np.array_equal(given.g, plain.g)
             assert given.time == plain.time
 
-    def test_k1_shape_checked(self, table8_mid, grid8_mid):
+    def test_k1_shape_checked(self, op8_mid, grid8_mid):
         s = random_state(grid8_mid, np.random.default_rng(1))
         with pytest.raises(ValueError, match="k1"):
-            step(table8_mid, s, 0.1, k1=np.zeros(3))
+            step(op8_mid, s, 0.1, k1=np.zeros(3))
