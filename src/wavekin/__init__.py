@@ -33,8 +33,6 @@ from wavekin.solver import (
     SpectrumState,
     CollisionOperator,
     build_operator,
-    KernelTable,
-    build_kernel_table,
     rhs,
     step,
     evolve,
@@ -51,6 +49,7 @@ from wavekin.diagnostics import (
     band_energy,
     low_mass,
     convex_production,
+    production_weights,
     cascade_report,
 )
 from wavekin.resonance_geometry import (
@@ -72,11 +71,10 @@ __all__ = [
     "KernelWeights", "four_sine_closed_form", "min_identity",
     "sine_integral_oracle", "xi_weight", "cutoff_kernel",
     "OmegaGrid", "SpectrumState", "CollisionOperator", "build_operator",
-    "KernelTable", "build_kernel_table",
     "rhs", "step", "evolve", "transform_f_to_g", "transform_g_to_f",
     "gaussian_bump", "ring_in_r", "state_from_file",
     "DiagnosticsRecord", "mass", "energy", "band_energy", "low_mass",
-    "convex_production", "cascade_report",
+    "convex_production", "production_weights", "cascade_report",
     "PointSet3", "ResonanceManifold", "iterate_collision_region",
     "cap_coverage_expectation", "least_covering_caps", "vcone",
     "expanded_radius", "digamma_root", "manifold_quadrature",

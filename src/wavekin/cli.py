@@ -34,7 +34,6 @@ from wavekin.config import ConfigError, RunConfig, load_config_file
 from wavekin.dispersion import DispersionRelation, eval_omega
 from wavekin.solver import (
     ConservationError,
-    MemoryBudgetError,
     StiffnessError,
     build_operator,
     evolve,
@@ -458,8 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"wavekin: {exc}", file=sys.stderr)
         return 2
-    except (StiffnessError, ConservationError, MemoryBudgetError, OSError,
-            ValueError) as exc:
+    except (StiffnessError, ConservationError, OSError, ValueError) as exc:
         print(f"wavekin: {exc}", file=sys.stderr)
         return 1
 

@@ -3,15 +3,18 @@
 Everything here is a pure read-only functional of a spectrum state or of a
 time series of diagnostic records.  The headline check is
 :func:`convex_production`: the discrete interaction stencil evaluated against
-a convex test function is nonnegative up to rounding, mirroring the
-monotonicity of the continuum operator, so a materially negative value always
+a convex test function is nonnegative, mirroring the monotonicity of the
+continuum operator.  It is sum Delta * (Omega^A + Omega^C - Omega^B) over the
+collision operator's rows, with weights Delta >= 0 from phi's second
+differences and region masses Omega >= 0 (solver._region_masses), so its sign
+is exact up to rounding of its scale, and a materially negative value always
 indicates a solver defect rather than physics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +28,7 @@ __all__ = [
     "band_energy",
     "low_mass",
     "convex_production",
-    "production_brackets",
+    "production_weights",
     "make_record",
     "cascade_report",
     "kinked_low_pass",
@@ -86,75 +89,71 @@ def low_mass(state, delta: float) -> float:
     return float(np.sum(state.g[sel]) * grid.h)
 
 
-def _convexity_violation(phi_vals: np.ndarray) -> float:
-    """Most negative second difference, normalized by the value scale."""
-    if phi_vals.size < 3:
-        return 0.0
-    second = phi_vals[:-2] + phi_vals[2:] - 2.0 * phi_vals[1:-1]
-    scale = max(1.0, float(np.max(np.abs(phi_vals))))
-    return float(np.min(second)) / scale
-
-
-def _bracket(table, phi: Callable) -> np.ndarray:
-    """phi_l + phi_m - phi_i - phi_j per table entry; rejects non-convex phi."""
-    grid = table.grid
+def _second_differences(grid, phi: Callable) -> np.ndarray:
+    """D: phi's second differences at nodes 1..n-2, or 0 where they are
+    within the rounding of phi's values (so a piecewise-linear phi has D
+    exactly 0 off its kinks); rejects non-convex phi."""
     phi_vals = np.asarray(phi(grid.omega), dtype=float)
     if phi_vals.shape != grid.omega.shape:
         raise ValueError("phi must map the frequency grid to one value per node")
     if not np.all(np.isfinite(phi_vals)):
         # a NaN second difference would pass the convexity test below
         raise ValueError("test function is not finite on the grid")
-    worst = _convexity_violation(phi_vals)
+    a = np.abs(phi_vals)
+    second = phi_vals[:-2] + phi_vals[2:] - 2.0 * phi_vals[1:-1]
+    worst = float(np.min(second, initial=0.0)) / max(1.0, float(np.max(a)))
     if worst < -1e-10:
         raise ValueError(
             f"test function is not convex on the grid (second difference "
             f"{worst:.3e} of scale); refusing to report a sign"
         )
-    return (phi_vals[table.l] + phi_vals[table.m]
-            - phi_vals[table.i] - phi_vals[table.j])
+    return np.where(second > 2.0 ** -50 * (a[:-2] + a[2:] + 2.0 * a[1:-1]), second, 0.0)
 
 
-def production_brackets(table, test_functions: Mapping[str, Callable]) -> Dict[str, np.ndarray]:
-    """The bracket of each (convex) test function, for reuse across records.
+def production_weights(op, test_functions: Mapping[str, Callable]) -> Dict[str, np.ndarray]:
+    """The bracket weights Delta of each (convex) test function on op's
+    production cells, built once and reused for every state.
 
-    Each array holds one float64 per table entry.
+    Non-convex phi is rejected, so that a negative production can only ever
+    mean a broken operator.
     """
-    return {name: _bracket(table, phi) for name, phi in test_functions.items()}
+    return {name: _solver._bracket_weights(op, _second_differences(op.grid, phi))
+            for name, phi in test_functions.items()}
 
 
-def convex_production(table, state, phi: Callable) -> Tuple[float, float]:
-    """Production of the functional sum(g * phi(omega)), and its scale.
+def convex_production(op, state, weights: Mapping[str, np.ndarray]
+                      ) -> Dict[str, Tuple[float, float]]:
+    """Production of the functional sum(g * phi(omega)), and its scale, for
+    each test function's ``weights`` (from production_weights).
 
-    The production is the sum over table entries of
-    mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j]; the scale
-    is the same sum of absolute values, the tolerance scale for its sign.
-    For convex phi the production is nonnegative up to rounding; for affine
-    phi the bracket vanishes node by node.  Non-convex phi is rejected so
-    that a negative production can only ever mean a broken kernel table.
+    The production is the sum over interactions of
+    mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j], and the
+    scale the same sum with each bracket's magnitude, the tolerance scale
+    for its sign; both come from one evaluation of the region masses.  For
+    affine phi every weight, and so the production, is exactly 0.
     """
-    _solver._check_same_grid(table, state)
-    terms = _solver._deposits(table, state.g) * _bracket(table, phi)
-    h = table.grid.h
-    return float(np.sum(terms) * h), float(np.sum(np.abs(terms)) * h)
+    _solver._check_same_grid(op, state)
+    outward, inward = _solver._region_masses(op, state.g)
+    net, total = outward - inward, outward + inward
+    return {name: (float(np.sum(d * net)), float(np.sum(d * total)))
+            for name, d in weights.items()}
 
 
-def make_record(state, cfg: DiagnosticsConfig, deposits: Optional[np.ndarray],
-                brackets: Mapping[str, np.ndarray]) -> DiagnosticsRecord:
+def make_record(state, cfg: DiagnosticsConfig, op,
+                weights: Mapping[str, np.ndarray]) -> DiagnosticsRecord:
     """Diagnostics of one state.
 
-    ``brackets`` (from production_brackets for ``cfg.test_functions``) and
-    ``deposits`` (rho per kernel-table entry at this state, from
-    solver._deposits; needed only if there are brackets) give the convex
-    production of each test function.
+    ``weights`` (from production_weights(op, cfg.test_functions)) give the
+    convex production of each test function.
     """
+    production = convex_production(op, state, weights) if weights else {}
     return DiagnosticsRecord(
         time=state.time,
         mass=mass(state),
         energy=energy(state),
         band_energy={float(R): band_energy(state, R) for R in cfg.band_radii},
         low_mass={float(dd): low_mass(state, dd) for dd in cfg.deltas},
-        convex_production={name: float(np.sum(deposits * bracket) * state.grid.h)
-                           for name, bracket in brackets.items()},
+        convex_production={name: p for name, (p, _) in production.items()},
     )
 
 

@@ -23,15 +23,17 @@ sum is a difference of compensated row prefix sums, certified by an a-priori
 error bound or else summed directly.  Mass and energy therefore cancel to the
 rounding of the totals rather than term by term.
 
-The O(n^3) KernelTable (build_kernel_table) lists the same interactions one
-by one.  Only convex production needs it, because it weighs every deposit by
-its own bracket; evolve builds it only when test functions are recorded.
+Convex production reuses the same planes and range sums (_region_masses).
+The O(n^3) KernelTable (build_kernel_table) lists the interactions one by
+one; no run builds it, and the tests keep it as the operator's reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,7 +59,6 @@ __all__ = [
     "state_from_file",
     "StiffnessError",
     "ConservationError",
-    "MemoryBudgetError",
 ]
 
 class StiffnessError(RuntimeError):
@@ -70,14 +71,6 @@ class StiffnessError(RuntimeError):
 
 class ConservationError(RuntimeError):
     """Mass or energy drifted beyond the guaranteed tolerance."""
-
-
-class MemoryBudgetError(MemoryError):
-    """Kernel table would exceed the fixed memory budget, MAX_TABLE_BYTES."""
-
-
-#: Memory budget of the interaction table's entry arrays.
-MAX_TABLE_BYTES = 512 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +145,9 @@ class KernelTable:
     """Precomputed interaction entries (i, j, l, m, W) on a grid.
 
     Entries are deduplicated over the i <-> j symmetry: only i <= j is stored
-    and ``mult`` records the multiplicity (2 off the diagonal).  ``coef``
-    folds mult * W * h^2 so the right-hand side is a single gather/scatter.
-    Ordering is lexicographic in (i, j, l), so rebuilds are bit-identical.
+    and ``mult`` records the multiplicity (2 off the diagonal); ``coef`` is
+    mult * W * h^2.  Ordering is lexicographic in (i, j, l), so rebuilds are
+    bit-identical.
     """
 
     grid: OmegaGrid
@@ -166,24 +159,6 @@ class KernelTable:
     w: np.ndarray = field(repr=False)
     mult: np.ndarray = field(repr=False)
     coef: np.ndarray = field(repr=False)
-    # i at the head of each run of equal consecutive i, and the run lengths;
-    # likewise for j.  Derived from i and j, so any entry order is valid; the
-    # builder's (i, j, l) order makes the runs long.
-    i_heads: np.ndarray = field(init=False, repr=False)
-    i_runs: np.ndarray = field(init=False, repr=False)
-    j_heads: np.ndarray = field(init=False, repr=False)
-    j_runs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        for key in ("i", "j"):
-            values = np.asarray(getattr(self, key))
-            head = np.ones(values.size, dtype=bool)
-            np.not_equal(values[1:], values[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            heads, runs = values[starts], np.diff(starts, append=values.size)
-            for name, arr in ((key + "_heads", heads), (key + "_runs", runs)):
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
 
     @property
     def n_entries(self) -> int:
@@ -238,43 +213,16 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
     restricted by the radius band [1/n, n) on the three integration indices
     and by whole-class domain truncation (see _l_intervals).  Entries with a
     zero weight (any index at the origin) are pruned.
-
-    Raises MemoryBudgetError, before allocating, if the entry arrays would
-    exceed MAX_TABLE_BYTES (512 MiB); counting stops at the first row that
-    passes it, so a far oversized grid is rejected after its first rows.
     """
     n = grid.n_nodes
     r = grid.r
     mho = grid.mho
     band = _band(kw, grid)
 
-    # First pass: each row's partners j >= i, their first l and l counts,
-    # counted so the budget check precedes allocation.
-    rows = []
-    count = 0
+    columns = [np.empty((6, 0))]  # i, j, l, m, w, mult of each row i
     for i in range(band[0], band[1] + 1):
         j = np.arange(i, band[1] + 1, dtype=np.int64)
         lo, cnt = _l_intervals(i, j, n, band)
-        rows.append((i, j, lo, cnt))
-        count += int(cnt.sum())
-        bytes_needed = count * (4 * 4 + 8 * 2 + 1 + 8)
-        if bytes_needed > MAX_TABLE_BYTES:
-            raise MemoryBudgetError(
-                f"kernel table needs at least {bytes_needed / 2**20:.0f} MiB for "
-                f"the {count} entries counted so far, over the "
-                f"{MAX_TABLE_BYTES / 2**20:.0f} MiB budget; reduce n_nodes or "
-                f"drop diagnostics.test_functions, whose production needs the table"
-            )
-
-    ii = np.empty(count, dtype=np.int32)
-    jj = np.empty(count, dtype=np.int32)
-    ll = np.empty(count, dtype=np.int32)
-    mm = np.empty(count, dtype=np.int32)
-    ww = np.empty(count, dtype=float)
-    mu = np.empty(count, dtype=np.int8)
-
-    pos = 0
-    for i, j, lo, cnt in rows:
         k = int(cnt.sum())
         # (j, l) order: each pair's l run from lo up
         j_v = np.repeat(j, cnt)
@@ -284,14 +232,10 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
         # has least <= r_i <= r[band[1]] < cutoff_n
         least = np.minimum(np.minimum(r[l_v], r[m_v]), np.minimum(r[i], r[j_v]))
         w_v = kw.c_q * mho[m_v] * least / (r[i] * r[j_v] * r[l_v])
-        ii[pos:pos + k] = i
-        jj[pos:pos + k] = j_v
-        ll[pos:pos + k] = l_v
-        mm[pos:pos + k] = m_v
-        ww[pos:pos + k] = w_v
-        mu[pos:pos + k] = np.where(j_v == i, 1, 2)
-        pos += k
-    assert pos == count
+        columns.append([np.full(k, i), j_v, l_v, m_v, w_v, np.where(j_v == i, 1, 2)])
+    ii, jj, ll, mm, ww, mu = np.concatenate(columns, axis=1)
+    ii, jj, ll, mm = (a.astype(np.int32) for a in (ii, jj, ll, mm))
+    mu = mu.astype(np.int8)
 
     coef = ww * mu * grid.h ** 2
     table = KernelTable(grid=grid, kw=kw, i=ii, j=jj, l=ll, m=mm,
@@ -302,8 +246,7 @@ def build_kernel_table(kw: KernelWeights, grid: OmegaGrid) -> KernelTable:
 
 
 def _check_same_grid(op, state: SpectrumState) -> None:
-    """Reject a state whose grid differs from op's (an operator or a table)
-    in nodes or radii.
+    """Reject a state whose grid differs from op's in nodes or radii.
 
     Equal radii on equal nodes mean an equal dispersion on the grid, so an
     equal-valued grid object is accepted.
@@ -316,19 +259,6 @@ def _check_same_grid(op, state: SpectrumState) -> None:
             f"({g1.n_nodes} nodes, h={g1.h:g}, alpha={g1.d.alpha:g} vs "
             f"{g2.n_nodes}, h={g2.h:g}, alpha={g2.d.alpha:g})"
         )
-
-
-def _deposits(table: KernelTable, g: np.ndarray) -> np.ndarray:
-    """rho = coef * g_i * g_j * g_l per table entry, multiplied in that order.
-
-    g_i and g_j are constant along the table's runs of equal i and of equal
-    j, so they are gathered once per run and repeated; l varies entry by
-    entry.
-    """
-    rho = table.coef * np.repeat(g[table.i_heads], table.i_runs)
-    rho *= np.repeat(g[table.j_heads], table.j_runs)
-    rho *= g[table.l]
-    return rho
 
 
 # --- the matrix-free operator -------------------------------------------------
@@ -383,6 +313,12 @@ class CollisionOperator:
     cell_kmho: np.ndarray = field(repr=False)   # K mho_m
     cell_krmho: np.ndarray = field(repr=False)  # K r_m mho_m
     gain_nodes: np.ndarray = field(repr=False)  # l then m of every cell
+
+    @functools.cached_property
+    def production_cells(self) -> SimpleNamespace:
+        """Where convex production reads the planes (see _region_masses);
+        built on first use, as no other evaluation needs it."""
+        return _production_cells(self)
 
 
 def _flat_ranges(plane, row, lo, hi, c0: int, shape) -> np.ndarray:
@@ -508,6 +444,25 @@ def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return v
 
 
+def _loss_planes(op: CollisionOperator, gb, ab, terms: np.ndarray) -> None:
+    """g_l, a_l and a_l r_m, each times mho_m, into terms[:3] after column 0."""
+    np.multiply(gb, op.mho_sl, out=terms[0, :, 1:])
+    np.multiply(ab, op.mho_sl, out=terms[1, :, 1:])
+    np.multiply(ab, op.rmho_sl, out=terms[2, :, 1:])
+
+
+def _pair_planes(op: CollisionOperator, gb, ab, terms: np.ndarray) -> None:
+    """mult a_i a_j and mult g_i a_j into terms[:2] after column 0."""
+    n_rows, nb = op.mho_sl.shape
+    # 2 a_{s-i}, zero where s - i leaves the band; a pair i = j counts once
+    two_a = np.zeros(n_rows + nb - 1)
+    np.multiply(ab, 2.0, out=two_a[nb - 1:2 * nb - 1])
+    aj = _by_diagonal(two_a, nb)
+    np.multiply(ab, aj, out=terms[0, :, 1:])
+    np.multiply(gb, aj, out=terms[1, :, 1:])
+    terms.reshape(2, -1)[:, op.i_is_j] *= 0.5
+
+
 def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     """The operator at density g: gains at l and m minus losses at i and j."""
     if not op.n_entries:  # a band with no node
@@ -519,21 +474,13 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
 
     terms = np.empty((3, n_rows, nb + 1))
     terms[:, :, 0] = 0.0
-    np.multiply(gb, op.mho_sl, out=terms[0, :, 1:])
-    np.multiply(ab, op.mho_sl, out=terms[1, :, 1:])
-    np.multiply(ab, op.rmho_sl, out=terms[2, :, 1:])
+    _loss_planes(op, gb, ab, terms)
     A, B, C = _range_sums(terms, op.loss_ends).reshape(3, -1)
     ai = ab.take(op.pair_i)
     loss = op.pair_kmult * ab.take(op.pair_j) * (ai * (A + C) + gb.take(op.pair_i) * B)
 
-    # 2 a_{s-i}, zero where s - i leaves the band; a pair i = j counts once
-    two_a = np.zeros(n_rows + nb - 1)
-    np.multiply(ab, 2.0, out=two_a[nb - 1:2 * nb - 1])
-    aj = _by_diagonal(two_a, nb)
     terms = terms[:2]
-    np.multiply(ab, aj, out=terms[0, :, 1:])
-    np.multiply(gb, aj, out=terms[1, :, 1:])
-    terms.reshape(2, -1)[:, op.i_is_j] *= 0.5
+    _pair_planes(op, gb, ab, terms)
     A, B, C = _range_sums(terms, op.gain_ends).reshape(3, -1)
     al = ab.take(op.cell_l)
     gain = op.cell_kmho * (gb.take(op.cell_l) * A + al * B) + op.cell_krmho * al * C
@@ -541,6 +488,135 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     n = op.grid.n_nodes
     return (np.bincount(op.gain_nodes, np.concatenate((gain, gain)), n)
             - np.bincount(op.loss_nodes, np.concatenate((loss, loss)), n))
+
+
+# --- convex production ------------------------------------------------------
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """The largest power of two not above max(x, 1)."""
+    return np.left_shift(1, np.frexp(np.maximum(x, 1).astype(float))[1] - 1)
+
+
+def _production_cells(op: CollisionOperator) -> SimpleNamespace:
+    """Range ends of _region_masses and _bracket_weights at the cells (s, t),
+    1 <= t <= s/2 - 1, where a bracket weight can be nonzero, and at every
+    node (s, x) of the band; each range is clipped to where its row of the
+    plane can be nonzero, and empty ones are dropped."""
+    n, (c0, c1) = op.grid.n_nodes, op.band
+    n_rows, nb = op.mho_sl.shape
+    T = max(c1 - 1, 0)  # t = 1 .. T
+    row, t = np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c1 + 1)[:, None])
+    t += 1
+    x_row, x = np.divmod(np.arange(n_rows * nb), nb)
+    x += c0
+    s, xs = row + 2 * c0, x_row + 2 * c0
+    E, xE = n - 1 - s, n - 1 - xs
+
+    def ends(plane, row, lo, hi, pairs):  # pairs: i with j = s - i in the band
+        s = row + 2 * c0
+        lo = np.maximum(np.maximum(lo, c0), s - c1 if pairs else s - n + 1)
+        hi = np.minimum(np.minimum(hi, c1), s // 2 if pairs else s - 1)
+        return _flat_ranges(plane, row, lo, hi, c0, (0, n_rows, nb + 1))
+
+    def index(*parts):  # the nonempty ranges, and where their sums go
+        ends = np.concatenate(parts, axis=1)
+        keep = np.flatnonzero(ends[1] > ends[0])
+        return np.ascontiguousarray(ends[:, keep], dtype=np.intp), keep, ends.shape[1]
+
+    # B covers t while min(l, m) > t, i.e. l <= cap; pairs up to last have
+    # e_i <= cap; sig is B's anchor pair (t where E + t < 1, which empties
+    # every B range); iota is the first pair with e_i >= l
+    cap = s - t - 1
+    last = np.minimum((cap - E) // 2, t)
+    sig = np.where(t + E >= 1, _pow2(t + E) - E, t)
+    top = E + 2 * sig
+    iota = -((xE - x) // 2)
+    z_hi = np.where(x + xE >= 2, _pow2(x + xE - 1) - xE, 0)
+    w_lo = np.where((x + xE >= 1) & (2 * x + 2 <= xs), 2 * _pow2(x + xE) - xE + 1, n)
+    # per cell: A's l prefix, C's q range, B's b to cap and to top; w per i;
+    # SP at t+1 and per l at iota, B's capped and anchored P ranges; z per l;
+    # then the ranges of z, v and w (see _region_masses)
+    return SimpleNamespace(
+        cells=t.size, t=t, delta_hi=cap, shape=(n_rows, T), flat=row * T + t - 1,
+        loss_ends=index(ends(0, row, c0, t, False), ends(2, row, s - t, E + 2 * t + 2, False),
+                        ends(1, row, t + 1, cap, False), ends(1, row, t + 1, top, False),
+                        ends(1, x_row, w_lo, xE + 2 * x, False)),
+        pair_ends=index(ends(0, row, t + 1, t + n, True),
+                        ends(0, x_row, iota, c1 * (2 * x > xs), True),
+                        ends(1, row, np.maximum(sig, last) + 1, t, True),
+                        ends(1, row, sig + 1, last, True), ends(1, x_row, iota, z_hi, True)),
+        zvw_ends=index(ends(0, row, t + 1, np.minimum(top, cap), False),
+                       ends(1, row, np.maximum(s - t, E + 2 * t + 3), s, False),
+                       ends(2, row, sig + 1, last, True)))
+
+
+def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h (Omega^A + Omega^C) and h Omega^B at density g at each production cell:
+    the masses of deposits that move outward from s/2 (A, C: brackets >= 0)
+    and inward (B: brackets <= 0).
+
+    Omega^R_s(t) is the deposit mass of region R's interactions in row s
+    whose bracket interval covers t: [l, i-1] in A, [i, min(l, m)-1] in B,
+    [m, i-1] in C.  B and C need l <= e_i = E + 2i (E = n-1-s); with
+    x = E + i, y = E + l, T = E + t and Y = E + s-t-1 the regions are
+
+        A: y <= T < x,    B: x <= T < y <= min(2x, Y),    C: x > T, Y < y <= 2x.
+
+    Each deposit is a pair weight P_x times an l term (the operator's
+    planes).  So A + C is SP, the sum of P over x > T, times the l sums over
+    y <= T and Y < y <= 2T+2, plus v = q_y SP(ceil(y/2)) summed over
+    y > max(Y, 2T+2).  B splits its pairs at X, the largest power of two not
+    above T, so T < 2X: pairs x <= X give z = b_y (their P over
+    ceil(y/2) <= x <= X) summed over T < y <= min(2X, Y); pairs x > X reach
+    every y in (T, min(2X, Y)], and beyond 2X up to Y where 2x > Y, else up
+    to 2x: w = P_x (b over 2X < y <= 2x).  X is the same for every T in
+    [X, 2X), so z and w are one array per row.  Every sum is of nonnegative
+    terms over a range of a row, and goes through _range_sums.
+    """
+    c = op.production_cells
+    c0, c1 = op.band
+    n_rows, nb = op.mho_sl.shape
+    gb = g[c0:c1 + 1]
+    ab = gb / op.r_band
+    loss, pairs = np.zeros((3, n_rows, nb + 1)), np.zeros((2, n_rows, nb + 1))
+    _loss_planes(op, gb, ab, loss)
+    _pair_planes(op, gb, ab, pairs)
+
+    def sums(terms, ranges):
+        ends, keep, size = ranges
+        out = np.zeros(size)
+        out[keep] = _range_sums(terms, ends)
+        return out
+
+    k, nodes = c.cells, n_rows * nb
+    pre, q, b_cap, b_top, w = np.split(sums(loss, c.loss_ends), [k, 2 * k, 3 * k, 4 * k])
+    sp, sp_iota, p_cap, p_top, z = np.split(
+        sums(pairs, c.pair_ends), [k, k + nodes, 2 * k + nodes, 3 * k + nodes])
+    zvw = loss  # each plane is read before it is overwritten
+    zvw[0, :, 1:] = loss[1, :, 1:] * z.reshape(n_rows, nb)
+    zvw[1, :, 1:] = loss[2, :, 1:] * sp_iota.reshape(n_rows, nb)
+    np.multiply(pairs[1, :, 1:], w.reshape(n_rows, nb), out=zvw[2, :, 1:])
+    z, v, w = np.split(sums(zvw, c.zvw_ends), 3)
+    kh = op.kw.c_q * op.grid.h ** 3
+    return kh * (sp * (pre + q) + v), kh * (z + p_cap * b_cap + p_top * b_top + w)
+
+
+def _bracket_weights(op: CollisionOperator, D: np.ndarray) -> np.ndarray:
+    """Delta_s(t), the sum of D_u over t < u < s - t, at each production cell.
+
+    D holds a convex test function's second differences at nodes 1..n-2,
+    which makes an interaction's bracket phi_l + phi_m - phi_i - phi_j the
+    sum of Delta over its bracket interval (see _region_masses), with the
+    sign of its region: + in A and C, - in B.  Each row is summed outward
+    from s/2, so Delta is exactly 0 wherever D is.
+    """
+    c = op.production_cells
+    D = np.concatenate(([0.0], D, np.zeros(op.grid.n_nodes + 1)))  # D_0 .. D_2n-1
+    t, hi = c.t, c.delta_hi
+    steps = np.zeros(c.shape)
+    steps.flat[c.flat] = D[t + 1] + np.where(t + 1 < hi, D[hi], 0.0)
+    return np.cumsum(steps[:, ::-1], axis=1)[:, ::-1].ravel()[c.flat]
 
 
 def rhs(op: CollisionOperator, state: SpectrumState) -> np.ndarray:
@@ -608,10 +684,11 @@ def evolve(
     multiple of ``output_every`` after t=0 (every accepted step if 0, or if
     below the clock's resolution of 1e-14 * max(1, |end time|)), and at the
     end.  The operator is evaluated once per state: that evaluation sets dt
-    and is the step's k1.  Test functions in ``diagnostics_config`` make
-    evolve build the kernel table (build_kernel_table), from which each
-    record gathers its deposits for convex production; without them no
-    table is built.  Returns a list of (state, record) pairs.  Every
+    and is the step's k1.  The bracket weights of the test functions in
+    ``diagnostics_config`` are built (and checked for convexity) once,
+    before the first step; each record's convex production then reads the
+    operator's planes at its state.  Returns a list of (state, record)
+    pairs.  Every
     record's mass and energy are compared with the first record's:
     ConservationError is raised at the first record where either has
     drifted by more than 1e-10 relative, and names the quantity, the drift
@@ -627,18 +704,12 @@ def evolve(
         raise ValueError("max_steps must be at least 1")
     _check_same_grid(op, state0)
     cfg = diagnostics_config if diagnostics_config is not None else _diag.DiagnosticsConfig()
-    table = build_kernel_table(op.kw, op.grid) if cfg.test_functions else None
-    brackets = _diag.production_brackets(table, cfg.test_functions)
+    weights = _diag.production_weights(op, cfg.test_functions)
     out = []
 
     def record(s: SpectrumState) -> None:
-        """Append the record of s and check its drift from the first record.
-
-        Convex production weighs each table entry's deposit at s by its
-        bracket; the deposits are dropped with the record.
-        """
-        rho = _deposits(table, s.g) if brackets else None
-        rec = _diag.make_record(s, cfg, rho, brackets)
+        """Append the record of s and check its drift from the first record."""
+        rec = _diag.make_record(s, cfg, op, weights)
         out.append((s, rec))
         first = out[0][1]
         for name, q0, q1 in (("mass", first.mass, rec.mass),

@@ -30,6 +30,7 @@ from wavekin.diagnostics import (
     cascade_report,
     convex_production,
     DiagnosticsConfig,
+    production_weights,
     kinked_low_pass,
     quadratic_test,
     shifted_ramp,
@@ -148,20 +149,21 @@ def test_criterion_3_convex_production(tables64):
         quadratic_test(),
         shifted_ramp(1.0),
         shifted_ramp(2.5),
+        shifted_ramp(0.05),
     ]
     rng = np.random.default_rng(161803)
     worst = 0.0
-    for alpha, (grid, table, _) in tables64.items():
+    for alpha, (grid, _, op) in tables64.items():
+        weights = production_weights(op, dict(enumerate(phis)))
         for _ in range(20):
             state = random_state(grid, rng)
-            for phi in phis:
-                p, s = convex_production(table, state, phi)
+            for p, s in convex_production(op, state, weights).values():
                 worst = min(worst, p / max(s, 1e-300))
     ok = worst >= -1e-10
     _verdict(
         "criterion 3 (convex production)",
         [(ok, f"most negative normalized production {worst:.2e} "
-              f"(tol -1e-10, 10 test functions x 20 states x 2 dispersions)")],
+              f"(tol -1e-10, {len(phis)} test functions x 20 states x 2 dispersions)")],
     )
 
 

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,23 +334,28 @@ class TestSimulateCommand:
         assert rc == 2
         assert "line 3, key 'integrator.safety': unknown key" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_1(self, tmp_path, clean_env, capsys):
-        # with a test function, whose production needs the kernel table, 640
-        # nodes at alpha 2 need about 2,129 MiB of table, over the fixed
-        # 512 MiB budget: MemoryBudgetError -> 1
-        cfg = tmp_path / "huge.yaml"
-        cfg.write_text("grid:\n  n_nodes: 640\n"
-                       "diagnostics:\n  test_functions: [quadratic]\n")
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "budget" in err and "n_nodes" in err
-        assert "diagnostics.test_functions" in err
+    def test_runtime_failure_exits_1(self, run_dir, capsys):
+        # --out names a regular file, so creating the run directory raises
+        # OSError -> 1
+        tmp_path, cfg_path = run_dir
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert _simulate(cfg_path, taken) == 1
+        assert str(taken) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("test_functions, tables", [("[]", 0), ("[quadratic]", 1)])
-    def test_table_built_only_for_test_functions(self, tmp_path, clean_env, monkeypatch,
-                                                 test_functions, tables):
-        # the operator never needs the O(n^3) table; convex production does
+    def test_640_nodes_with_a_test_function_exit_0(self, tmp_path, clean_env):
+        # the table of this grid would need about 2,129 MiB; production does
+        # not build it
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("grid:\n  n_nodes: 640\nintegrator:\n  max_steps: 1\n"
+                       "diagnostics:\n  test_functions: [quadratic]\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "series.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[0].endswith(",production_quadratic")
+
+    @pytest.mark.parametrize("test_functions", ["[]", "[quadratic]"])
+    def test_no_run_builds_the_table(self, tmp_path, clean_env, monkeypatch, test_functions):
+        # neither the operator nor convex production needs the O(n^3) table
         calls = []
         build = solver.build_kernel_table
 
@@ -364,11 +370,31 @@ class TestSimulateCommand:
         cfg.write_text("grid:\n  n_nodes: 24\nintegrator:\n  t_end: 0.01\n"
                        f"diagnostics:\n  test_functions: {test_functions}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == tables
-        # the summary's entry count is the table's, with or without a table
+        assert calls == []
+        # the summary's entry count is the table's
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         grid = solver.OmegaGrid(DispersionRelation.power_law(2.0), 24, 4.0)  # defaults
         assert summary["n_table_entries"] == build(KernelWeights(), grid).n_entries
+
+    def test_production_needs_less_memory_than_the_table(self, tmp_path, clean_env):
+        # the cascade workload's shape: every record's production at n = 128
+        # peaks below what the table's arrays alone would take, 33 bytes per
+        # entry (four int32 indices, w, coef, and the int8 multiplicity)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("grid:\n  n_nodes: 128\n  omega_max: 8.0\n"
+                       "initial:\n  center: 4.0\n  width: 0.6\n"
+                       "integrator:\n  output_every: 0.0\n  max_steps: 4\n"
+                       "diagnostics:\n  test_functions: [low_pass:2.0, quadratic]\n")
+        op = solver.build_operator(KernelWeights(), solver.OmegaGrid(
+            DispersionRelation.power_law(2.0), 128, 8.0))
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "o" / "series.csv").read_text().splitlines()) == 1 + 4
+        assert peak < 33 * op.n_entries
 
 
 class TestPrecedence:

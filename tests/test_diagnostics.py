@@ -1,9 +1,10 @@
 """Conserved functionals, band/low-frequency observables, convex production,
 and the cascade trend report.
 
-convex_production is cross-checked against the chain-rule identity
-d/dt sum(phi * g * h) = sum(phi * rhs * h): the two are the same bilinear
-form written in different orders, so they must agree to rounding.
+convex_production is cross-checked against the entry-by-entry sum over the
+kernel table (conftest.table_production) and against the chain-rule
+identity d/dt sum(phi * g * h) = sum(phi * rhs * h): all three are the same
+bilinear form written in different orders, so they must agree to rounding.
 """
 
 import math
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import production, random_state, table_production
 from wavekin.diagnostics import (
     DiagnosticsConfig,
     band_energy,
@@ -25,7 +26,7 @@ from wavekin.diagnostics import (
     low_mass,
     make_record,
     mass,
-    production_brackets,
+    production_weights,
     quadratic_test,
     shifted_ramp,
     smoothed_low_pass,
@@ -37,8 +38,8 @@ from wavekin.dispersion import DispersionRelation
 from wavekin.solver import (
     OmegaGrid,
     SpectrumState,
-    _deposits,
     build_kernel_table,
+    build_operator,
     gaussian_bump,
     rhs,
 )
@@ -82,17 +83,17 @@ class TestScalars:
 
 
 class TestConvexProduction:
-    def test_affine_is_exactly_zero(self, table8_mid, grid8_mid):
+    def test_affine_is_exactly_zero(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(31)
         s = random_state(grid8_mid, rng)
         for phi in (lambda w: np.full_like(np.asarray(w, float), 3.0),
                     lambda w: 2.0 * np.asarray(w, float) - 1.0):
-            # the bracket vanishes node by node on resonant quadruples
-            assert convex_production(table8_mid, s, phi)[0] == 0.0
+            # the second differences vanish node by node on the h = 1 grid
+            assert production(op8_mid, s, phi)[0] == 0.0
 
     @pytest.mark.parametrize("which", ["quad", "mid"])
     def test_nonnegative_for_convex_functions(self, which, request):
-        table = request.getfixturevalue(f"table8_{which}")
+        op = request.getfixturevalue(f"op8_{which}")
         rng = np.random.default_rng(43)
         phis = [
             kinked_low_pass(2.5),
@@ -103,50 +104,77 @@ class TestConvexProduction:
         ]
         # concentrated bumps pin the per-entry formula: h * <phi, rhs> on
         # them dips below -1e-10 of the scale through cancellation
-        states = [random_state(table.grid, rng) for _ in range(5)]
-        states += [gaussian_bump(table.grid, c, 0.3, 1.0) for c in (1.0, 4.0, 6.0)]
+        states = [random_state(op.grid, rng) for _ in range(5)]
+        states += [gaussian_bump(op.grid, c, 0.3, 1.0) for c in (1.0, 4.0, 6.0)]
         for s in states:
             for phi in phis:
-                prod, scale = convex_production(table, s, phi)
+                prod, scale = production(op, s, phi)
                 assert prod >= -1e-10 * max(scale, 1e-300)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the per-entry bracket of a test function that is "
-        "affine on every nonzero node is rounding noise, so its sign is random"))
     def test_nonnegative_for_a_ramp_kinked_below_node_1(self):
-        # criterion 3's grids and states; ramp:0.05 is affine on nodes >= 1
+        # criterion 3's grids and states; ramp:0.05 is affine on nodes >= 1,
+        # so its per-entry brackets are rounding noise of either sign
         phi = registry(["ramp:0.05"])["ramp:0.05"]
         rng = np.random.default_rng(161803)
         worst = 0.0
         for alpha in (1.5, 2.0):
             grid = OmegaGrid(DispersionRelation.power_law(alpha), 64, 4.0)
-            table = build_kernel_table(KernelWeights(), grid)
+            op = build_operator(KernelWeights(), grid)
             for _ in range(20):
-                prod, scale = convex_production(table, random_state(grid, rng), phi)
+                prod, scale = production(op, random_state(grid, rng), phi)
                 worst = min(worst, prod / max(scale, 1e-300))
         assert worst >= -1e-10
 
-    def test_matches_chain_rule_identity(self, table8_mid, op8_mid, grid8_mid):
+    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_matches_the_table_oracle(self, alpha, cutoff_n):
+        # random, bump and bump-over-floor states: agreement to 1e-12 of the
+        # scale beyond the oracle's floor, the rounding of phi's values in
+        # its per-entry brackets
+        grid = OmegaGrid(DispersionRelation.power_law(alpha), 40, 4.0)
+        kw = KernelWeights(cutoff_n=cutoff_n)
+        op, table = build_operator(kw, grid), build_kernel_table(kw, grid)
+        weights = production_weights(op, registry(
+            ["low_pass:0.5", "low_pass:1.8", "smooth_low_pass:1.0:0.05", "band_cap:0.4",
+             "quadratic", "ramp:1.0", "ramp:0.05", "ramp:2.5"]))
+        rng = np.random.default_rng(2)
+        states = [random_state(grid, rng).g for _ in range(4)]
+        states += [gaussian_bump(grid, c, 0.2, 1.0).g for c in (0.5, 2.0, 3.5)]
+        for _ in range(4):
+            g = np.full(40, 10.0 ** rng.uniform(-60.0, -5.0))
+            g[rng.integers(1, 40, 5)] = 1.0
+            states.append(g)
+        for g in states:
+            g[0] = 0.0
+            s = SpectrumState(g=g, time=0.0, grid=grid)
+            for name, (prod, scale) in convex_production(op, s, weights).items():
+                want, want_scale, floor = table_production(
+                    table, g, registry([name])[name](grid.omega))
+                assert prod >= 0.0, name
+                assert abs(prod - want) <= 1e-12 * want_scale + floor, name
+                assert abs(scale - want_scale) <= 1e-12 * want_scale + floor, name
+
+    def test_matches_chain_rule_identity(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(5)
         s = random_state(grid8_mid, rng)
         phi = quadratic_test()
         expected = float(np.sum(phi(grid8_mid.omega) * rhs(op8_mid, s)) * grid8_mid.h)
-        got = convex_production(table8_mid, s, phi)[0]
+        got = production(op8_mid, s, phi)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_nonconvex_function(self, table8_quad, grid8_quad):
+    def test_rejects_nonconvex_function(self, op8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
         with pytest.raises(ValueError, match="not convex"):
-            convex_production(table8_quad, s, lambda w: np.sin(np.asarray(w, float)))
+            production(op8_quad, s, lambda w: np.sin(np.asarray(w, float)))
         # NaN second differences would pass the convexity test
         for phi in (kinked_low_pass(np.nan), shifted_ramp(-np.inf)):
             with pytest.raises(ValueError, match="not finite"):
-                convex_production(table8_quad, s, phi)
+                production(op8_quad, s, phi)
 
-    def test_phi_must_return_grid_shaped_values(self, table8_quad, grid8_quad):
+    def test_phi_must_return_grid_shaped_values(self, op8_quad, grid8_quad):
         s = SpectrumState(g=np.ones(8), time=0.0, grid=grid8_quad)
         with pytest.raises(ValueError, match="one value per node"):
-            convex_production(table8_quad, s, lambda w: 1.0)
+            production(op8_quad, s, lambda w: 1.0)
 
 
 class TestTestFunctions:
@@ -187,7 +215,7 @@ class TestTestFunctions:
 
 
 class TestRecords:
-    def test_make_record_fields(self, table8_mid, grid8_mid):
+    def test_make_record_fields(self, op8_mid, grid8_mid):
         rng = np.random.default_rng(9)
         s = random_state(grid8_mid, rng)
         cfg = DiagnosticsConfig(
@@ -195,13 +223,12 @@ class TestRecords:
             deltas=(0.5,),
             test_functions=registry(["quadratic"]),
         )
-        rho = _deposits(table8_mid, s.g)
-        rec = make_record(s, cfg, rho, production_brackets(table8_mid, cfg.test_functions))
+        rec = make_record(s, cfg, op8_mid, production_weights(op8_mid, cfg.test_functions))
         assert rec.time == 0.0
         assert set(rec.band_energy) == {1.0, 2.0}
         assert set(rec.low_mass) == {0.5}
         assert rec.convex_production == {
-            "quadratic": convex_production(table8_mid, s, quadratic_test())[0]}
+            "quadratic": production(op8_mid, s, quadratic_test())[0]}
 
 
 def _records(times, masses, energies, band, low):

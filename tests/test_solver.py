@@ -12,12 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import deposit_scale, random_state, table_rhs
+from conftest import deposit_scale, production, random_state, table_rhs
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
 from wavekin import solver
 from wavekin.diagnostics import (
     DiagnosticsConfig,
-    convex_production,
     kinked_low_pass,
     quadratic_test,
 )
@@ -25,7 +24,6 @@ from wavekin.dispersion import DispersionRelation
 from wavekin.solver import (
     ConservationError,
     KernelTable,
-    MemoryBudgetError,
     OmegaGrid,
     SpectrumState,
     StiffnessError,
@@ -145,28 +143,7 @@ class TestKernelTable:
         for name in ("i", "j", "l", "m", "w", "mult", "coef"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_memory_budget(self, d_quad):
-        # 54.46M entries, about 2,129 MiB, over the fixed 512 MiB budget
-        with pytest.raises(MemoryBudgetError, match="budget"):
-            build_kernel_table(KernelWeights(), OmegaGrid(d_quad, 640, 4.0))
-
-    def test_over_budget_grid_rejected_at_the_first_rows(self, d_quad, monkeypatch):
-        # the first row alone passes the budget; counting every row before
-        # comparing would make 49,999 calls
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0])
-            return l_intervals(*args)
-
-        l_intervals = solver._l_intervals
-        monkeypatch.setattr(solver, "_l_intervals", counted)
-        with pytest.raises(MemoryBudgetError, match="at least"):
-            build_kernel_table(KernelWeights(), OmegaGrid(d_quad, 50_000, 4.0))
-        assert len(calls) < 10
-
     def test_each_row_intervals_computed_once(self, monkeypatch):
-        # the counting pass keeps every row's intervals for the fill pass
         d = DispersionRelation.power_law(1.5)
         grid = OmegaGrid(d, 64, 8.0)
         kw = KernelWeights(cutoff_n=3.0)
@@ -337,10 +314,8 @@ class TestCollisionOperator:
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_640_nodes_need_no_table_budget(self, d_quad):
-        # the table of this grid is over MAX_TABLE_BYTES
+        # the table of this grid would need about 2,129 MiB
         grid = OmegaGrid(d_quad, 640, 4.0)
-        with pytest.raises(MemoryBudgetError):
-            build_kernel_table(KernelWeights(), grid)
         op = build_operator(KernelWeights(), grid)
         assert op.n_entries > 54_000_000
         g = gaussian_bump(grid, center=2.0, width=0.4, amplitude=1.0).g
@@ -382,13 +357,13 @@ class TestRhs:
         s = SpectrumState(g=np.zeros(8), time=0.0, grid=grid8_quad)
         assert np.array_equal(rhs(op8_quad, s), np.zeros(8))
 
-    def test_grid_mismatch_rejected(self, op8_quad, table8_quad, d_quad, d_mid):
+    def test_grid_mismatch_rejected(self, op8_quad, d_quad, d_mid):
         # other node count; same nodes and spacing under another dispersion
         for other in (OmegaGrid(d_quad, 12, 7.0), OmegaGrid(d_mid, 8, 7.0)):
             s = SpectrumState(g=np.ones(other.n_nodes), time=0.0, grid=other)
             for use in (lambda: rhs(op8_quad, s),
                         lambda: evolve(op8_quad, s, t_end=1.0),
-                        lambda: convex_production(table8_quad, s, quadratic_test())):
+                        lambda: production(op8_quad, s, quadratic_test())):
                 with pytest.raises(ValueError, match="different grids"):
                     use()
 
@@ -628,42 +603,6 @@ class TestEvolve:
                 evolve(op8_quad, s, t_end=t_end, output_every=output_every)
 
 
-def _hand_built(t, keep):
-    """A table of the entries of t picked (in that order) by index array keep."""
-    return KernelTable(grid=t.grid, kw=t.kw, i=t.i[keep], j=t.j[keep], l=t.l[keep],
-                       m=t.m[keep], w=t.w[keep], mult=t.mult[keep], coef=t.coef[keep])
-
-
-class TestRunGather:
-    """rho gathered by runs of equal i and of equal j equals the entry-by-entry product."""
-
-    @staticmethod
-    def assert_matches_product(table, g):
-        want = table.coef * g[table.i] * g[table.j] * g[table.l]
-        got = solver._deposits(table, g)
-        assert got.shape == want.shape
-        assert np.all(got == want)
-
-    @pytest.mark.parametrize("alpha", [1.5, 2.0])
-    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
-    def test_built_tables(self, alpha, cutoff_n):
-        d = DispersionRelation.power_law(alpha)
-        grid = OmegaGrid(d, 24, 4.0)
-        table = build_kernel_table(KernelWeights(cutoff_n=cutoff_n), grid)
-        assert table.j_heads.size < table.n_entries
-        self.assert_matches_product(table, random_state(grid, np.random.default_rng(5)).g)
-
-    def test_permuted_hand_built_table(self, table32_quad, grid32_quad):
-        perm = np.random.default_rng(7).permutation(table32_quad.n_entries)
-        table = _hand_built(table32_quad, perm)
-        self.assert_matches_product(table, random_state(grid32_quad, np.random.default_rng(8)).g)
-
-    def test_empty_table(self, table8_quad, grid8_quad):
-        table = _hand_built(table8_quad, np.array([], dtype=int))
-        assert table.n_entries == 0 and table.i_heads.size == 0
-        self.assert_matches_product(table, random_state(grid8_quad, np.random.default_rng(9)).g)
-
-
 class TestOperatorReuse:
     """evolve evaluates the operator once per state and shares that result."""
 
@@ -690,10 +629,10 @@ class TestOperatorReuse:
     @pytest.mark.parametrize("output_every, max_steps", [(0.0, None), (0.004, None),
                                                          (0.0, 3), (1.0, 3)])
     @pytest.mark.parametrize("with_tests", [True, False])
-    def test_call_counts(self, counted, op32_quad, table32_quad, grid32_quad,
+    def test_call_counts(self, counted, op32_quad, grid32_quad,
                          output_every, max_steps, with_tests):
         # each step costs 4 evaluations, the first of them shared with the dt
-        # choice; records take their deposits from the table, not the operator
+        # choice; records read the operator's planes but never evaluate it
         tests = {"low_pass:2.0": kinked_low_pass(2.0), "quadratic": quadratic_test()}
         cfg = DiagnosticsConfig(test_functions=tests if with_tests else {})
         s = gaussian_bump(grid32_quad, center=2.0, width=0.4, amplitude=1.0)
@@ -704,7 +643,7 @@ class TestOperatorReuse:
         for state, rec in out:
             assert set(rec.convex_production) == (set(tests) if with_tests else set())
             for name, value in rec.convex_production.items():
-                assert value == convex_production(table32_quad, state, tests[name])[0]
+                assert value == production(op32_quad, state, tests[name])[0]
 
     @pytest.mark.parametrize("with_tests", [True, False])
     def test_zero_horizon(self, counted, op32_quad, grid32_quad, with_tests):
