@@ -23,6 +23,11 @@ sum is a difference of compensated row prefix sums, certified by an a-priori
 error bound or else summed directly.  Mass and energy therefore cancel to the
 rounding of the totals rather than term by term.
 
+The terms of those sums form planes over (s, l) or (s, i), but no plane is
+built whole: a block of rows at a time, each over only the columns its
+ranges reach, is filled, prefix-summed and read while it is in cache.  A
+prefix sum then runs along a shorter row, so its error bound only tightens.
+
 Convex production reuses the same planes and range sums (_region_masses).
 The O(n^3) KernelTable (build_kernel_table) lists the interactions one by
 one; no run builds it, and the tests keep it as the operator's reference.
@@ -34,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -267,6 +272,17 @@ _U = 2.0 ** -53
 #: A range sum whose a-priori error bound exceeds this fraction of its value
 #: is summed directly instead.
 RANGE_RTOL = 1e-14
+#: Cells of the planes per block of rows: a block's windows, prefix sums and
+#: error sums stay in a core's cache.
+BLOCK_CELLS = 2 ** 14
+
+
+class _Blocks(NamedTuple):
+    """Where the range sums of one block layout go (see _blocked)."""
+
+    keep: np.ndarray  # int32 output position of each nonempty range
+    spans: tuple      # per plane and block: plane, rows, columns, ranges
+    size: int         # output length; an empty range sums to 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,17 +297,29 @@ class CollisionOperator:
         B: K mult g_i a_j * a_l mho_m
         C: K mult a_i a_j * a_l r_m mho_m.
 
-    Rows are s = 2 c0 .. 2 c1 over the radius band [c0, c1], and columns are
-    band nodes (l for the loss terms, i for the gain terms) after a zero
-    column, so a range of a row is the difference of two prefix positions.
-    Range ends are flat int32 indices into a stack of such matrices: three
-    loss planes (g_l, a_l and a_l r_m, each times mho_m) and two gain planes
-    (mult a_i a_j and mult g_i a_j, whose columns past i = s/2 no range
-    reaches).  A value of s - l (or of s - i) is constant along a diagonal
-    of such a matrix, so ``mho_sl`` and ``rmho_sl`` are strided views of
-    one value per diagonal.  Node indices
-    ``pair_*`` and ``cell_l`` are relative to c0; ``loss_nodes`` and
-    ``gain_nodes`` are absolute.
+    A plane holds one such factor at each row s = 2 c0 .. 2 c1 and band node
+    column (l for the loss terms, i for the gain terms): three loss planes
+    (g_l, a_l and a_l r_m, each times mho_m) and two pair planes (mult a_i
+    a_j and mult g_i a_j).  The loss at a pair (s, i) takes three l ranges
+    of row s, one per loss plane, and the gain at a cell (s, l) three i
+    ranges of pair planes.  A value of s - l (or of s - i) is constant along
+    a diagonal, so ``mho_sl`` and ``rmho_sl`` are strided views of one value
+    per diagonal.
+
+    No plane is stored whole.  A block is BLOCK_CELLS // (band + 1)
+    consecutive rows (at least one), and its window in a plane runs from the
+    first column any of its ranges there reaches to the last: the columns
+    outside it are never summed.  An evaluation fills one window at a time
+    behind a zero column and takes its ranges' sums while it is in cache,
+    so its working set is one window, not the (2n x n) planes.
+    ``loss_ends`` and ``gain_ends`` are the nonempty ranges' int32 prefix
+    positions within their windows, set up once (see _blocked).  A range is
+    still the difference of two Sum2 prefix sums along one row, only of a
+    shorter row with a smaller prefix total, so the a-priori bound of
+    _range_sums can only tighten, and RANGE_RTOL certifies each range, or
+    sends it to direct summation, as before.  Node indices ``pair_*`` and
+    ``cell_l`` are relative to c0; ``loss_nodes`` and ``gain_nodes`` are
+    absolute.
     """
 
     grid: OmegaGrid
@@ -302,13 +330,14 @@ class CollisionOperator:
     r_band: np.ndarray = field(repr=False)
     mho_sl: np.ndarray = field(repr=False)   # mho_{s-l}, 0 where s-l is no node
     rmho_sl: np.ndarray = field(repr=False)  # r_{s-l} mho_{s-l}
-    i_is_j: np.ndarray = field(repr=False)   # flat (s, i = s/2) positions
-    loss_ends: np.ndarray = field(repr=False)  # (2, 3 pairs): A, B, C starts/ends
+    loss_ends: np.ndarray = field(repr=False)  # A, B and C ranges of every pair
+    loss_blocks: _Blocks = field(repr=False)
     pair_i: np.ndarray = field(repr=False)
     pair_j: np.ndarray = field(repr=False)
     pair_kmult: np.ndarray = field(repr=False)  # K * mult
     loss_nodes: np.ndarray = field(repr=False)  # i then j of every pair
-    gain_ends: np.ndarray = field(repr=False)  # (2, 3 cells): A, B, C starts/ends
+    gain_ends: np.ndarray = field(repr=False)  # A, B and C ranges of every cell
+    gain_blocks: _Blocks = field(repr=False)
     cell_l: np.ndarray = field(repr=False)
     cell_kmho: np.ndarray = field(repr=False)   # K mho_m
     cell_krmho: np.ndarray = field(repr=False)  # K r_m mho_m
@@ -321,14 +350,47 @@ class CollisionOperator:
         return _production_cells(self)
 
 
-def _flat_ranges(plane, row, lo, hi, c0: int, shape) -> np.ndarray:
-    """Flat (start, end) prefix positions of node ranges [lo, hi] in rows of
-    planes of a (planes, rows, band + 1) stack; an empty range is (0, 0)."""
-    _, n_rows, width = shape
-    base = (plane * n_rows + row) * width
-    empty = lo > hi
-    return np.stack([np.where(empty, 0, base + lo - c0),
-                     np.where(empty, 0, base + hi - c0 + 1)])
+def _check_indices(n: int, count: int) -> None:
+    """Reject a grid whose operator indices reach count beyond int32."""
+    if count > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} nodes overflow the operator's int32 indices")
+
+
+def _blocked(parts, c0: int, nb: int, n_rows: int) -> tuple[np.ndarray, _Blocks]:
+    """Range ends in the block layout of CollisionOperator, and where their
+    sums go.
+
+    ``parts`` lists (plane, row, lo, hi), the node ranges [lo, hi] of rows
+    of a plane, one part after another in output order.  Empty ranges are
+    dropped.  The rest of a plane are grouped by block, and each block gets
+    one span: the window from the first column its ranges reach to the
+    last, in which their ends are (start, end) prefix positions.
+    """
+    rows = max(1, BLOCK_CELLS // (nb + 1))
+    parts = [(plane, *np.broadcast_arrays(row, lo, hi)) for plane, row, lo, hi in parts]
+    offsets = np.cumsum([0] + [row.size for _, row, _, _ in parts]).tolist()
+    ends, keeps, spans = [np.zeros((2, 0), np.int32)], [np.zeros(0, np.int32)], []
+    for plane in sorted({part[0] for part in parts}):
+        kept = np.concatenate(
+            [np.stack([k + offset, row[k], lo[k] - c0, hi[k] - c0], dtype=np.int32)
+             for offset, (p, row, lo, hi) in zip(offsets, parts) if p == plane
+             for k in [np.flatnonzero(lo <= hi)]], axis=1)
+        block = kept[1] // rows
+        if np.any(block[1:] < block[:-1]):  # a stable sort merges the parts' runs
+            order = np.argsort(block, kind="stable")
+            kept, block = kept[:, order], block[order]
+        keep, row, lo, hi = kept
+        heads = np.flatnonzero(np.diff(block, prepend=-1))
+        counts = np.diff(heads, append=block.size)
+        first, stop = np.minimum.reduceat(lo, heads), np.maximum.reduceat(hi, heads) + 1
+        base = row % rows * np.repeat(stop - first + 1, counts) + lo - np.repeat(first, counts)
+        e = sum(a.size for a in keeps)
+        spans += [(plane, b * rows, min(b * rows + rows, n_rows), w0, w1, e + e0, e + e0 + m)
+                  for b, w0, w1, e0, m in zip(block[heads].tolist(), first.tolist(),
+                                              stop.tolist(), heads.tolist(), counts.tolist())]
+        ends.append(np.stack([base, base + hi - lo + 1]))
+        keeps.append(keep)
+    return np.concatenate(ends, axis=1), _Blocks(np.concatenate(keeps), tuple(spans), offsets[-1])
 
 
 def _by_diagonal(values: np.ndarray, nb: int) -> np.ndarray:
@@ -338,14 +400,13 @@ def _by_diagonal(values: np.ndarray, nb: int) -> np.ndarray:
 
 def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     """Set up the O(n^2) collision operator: pair and cell lists, range ends
-    and the mho_{s-l} matrices, all over the radius band and with no loop
-    over s."""
+    in the block layout and the mho_{s-l} matrices, all over the radius band
+    and with no loop over s."""
     n = grid.n_nodes
     c0, c1 = _band(kw, grid)
     nb = max(c1 - c0 + 1, 0)
     n_rows = max(2 * nb - 1, 0)
-    if 3 * n_rows * (nb + 1) > np.iinfo(np.int32).max:
-        raise ValueError(f"{n} nodes overflow the operator's int32 indices")
+    _check_indices(n, 3 * n_rows * (nb + 1))
     s = np.arange(2 * c0, 2 * c0 + n_rows)[:, None]
     x = np.arange(c0, c0 + nb)[None, :]  # a band node: l or i
     K = kw.c_q * grid.h ** 2
@@ -365,11 +426,9 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     pj = ps - pi
     lo = np.maximum(ps - n + 1, c0)
     hi = np.minimum(np.minimum(ps - 1, n - 1 - (pj - pi)), c1)
-    shape = (3, n_rows, nb + 1)
-    loss_ends = np.concatenate([
-        _flat_ranges(0, row, lo, pi, c0, shape),
-        _flat_ranges(1, row, pi + 1, np.minimum(pj - 1, hi), c0, shape),
-        _flat_ranges(2, row, np.maximum(pj, pi + 1), hi, c0, shape)], axis=1)
+    loss_ends, loss_blocks = _blocked(
+        [(0, row, lo, pi), (1, row, pi + 1, np.minimum(pj - 1, hi)),
+         (2, row, np.maximum(pj, pi + 1), hi)], c0, nb, n_rows)
 
     # cells (s, l): the gain at l and m is K (g_l mho_m A + a_l mho_m B +
     # a_l r_m mho_m C) with i-range sums of mult a_i a_j (A, C) and of
@@ -383,8 +442,8 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
               (0, np.maximum(np.maximum(i_min, cs - cl), q), np.minimum(i_max, cl - 1))]
     keep = np.any([a <= b for _, a, b in ranges], axis=0)
     row, cs, cl = row[keep], cs[keep], cl[keep]
-    gain_ends = np.concatenate([_flat_ranges(plane, row, a[keep], b[keep], c0, shape)
-                                for plane, a, b in ranges], axis=1)
+    gain_ends, gain_blocks = _blocked([(plane, row, a[keep], b[keep]) for plane, a, b in ranges],
+                                      c0, nb, n_rows)
 
     def index(a):
         return np.ascontiguousarray(a, dtype=np.int32)
@@ -394,17 +453,17 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
         grid=grid, kw=kw, band=(c0, c1), n_entries=int((hi - lo + 1).sum()),
         r_band=grid.r[c0:c0 + nb], mho_sl=_by_diagonal(mho_m, nb),
         rmho_sl=_by_diagonal(rmho_m, nb),
-        i_is_j=index(np.arange(nb) * (2 * nb + 3) + 1),  # row 2k, column k + 1
-        loss_ends=index(loss_ends), pair_i=index(pi - c0), pair_j=index(pj - c0),
-        pair_kmult=np.where(pi < pj, 2.0 * K, K), loss_nodes=index(np.concatenate((pi, pj))),
-        gain_ends=index(gain_ends), cell_l=index(cl - c0),
+        loss_ends=loss_ends, loss_blocks=loss_blocks, pair_i=index(pi - c0),
+        pair_j=index(pj - c0), pair_kmult=np.where(pi < pj, 2.0 * K, K),
+        loss_nodes=index(np.concatenate((pi, pj))), gain_ends=gain_ends,
+        gain_blocks=gain_blocks, cell_l=index(cl - c0),
         cell_kmho=K * grid.mho[cm], cell_krmho=K * grid.r[cm] * grid.mho[cm],
         gain_nodes=index(np.concatenate((cl, cm))),
     )
-    for name in ("r_band", "mho_sl", "rmho_sl", "i_is_j", "loss_ends",
-                 "pair_i", "pair_j", "pair_kmult", "loss_nodes", "gain_ends",
-                 "cell_l", "cell_kmho", "cell_krmho", "gain_nodes"):
-        getattr(op, name).flags.writeable = False
+    for a in (op.r_band, op.mho_sl, op.rmho_sl, op.loss_ends, op.loss_blocks.keep,
+              op.pair_i, op.pair_j, op.pair_kmult, op.loss_nodes, op.gain_ends,
+              op.gain_blocks.keep, op.cell_l, op.cell_kmho, op.cell_krmho, op.gain_nodes):
+        a.flags.writeable = False
     return op
 
 
@@ -444,44 +503,59 @@ def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return v
 
 
-def _loss_planes(op: CollisionOperator, gb, ab, terms: np.ndarray) -> None:
-    """g_l, a_l and a_l r_m, each times mho_m, into terms[:3] after column 0."""
-    np.multiply(gb, op.mho_sl, out=terms[0, :, 1:])
-    np.multiply(ab, op.mho_sl, out=terms[1, :, 1:])
-    np.multiply(ab, op.rmho_sl, out=terms[2, :, 1:])
+def _block_sums(planes, ends: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """The range sums of a block layout (see _blocked) in output order.
+
+    Each of ``planes`` is a function fill(rows, cols, out) that writes the
+    plane's values on a window; a block's windows are filled behind a zero
+    column and summed by _range_sums while they are in cache.
+    """
+    kept = np.empty(blocks.keep.size)
+    for plane, r0, r1, w0, w1, e0, e1 in blocks.spans:
+        terms = np.empty((r1 - r0, w1 - w0 + 1))
+        terms[:, 0] = 0.0
+        planes[plane](slice(r0, r1), slice(w0, w1), terms[:, 1:])
+        kept[e0:e1] = _range_sums(terms, ends[:, e0:e1])
+    out = np.zeros(blocks.size)
+    out[blocks.keep] = kept
+    return out
 
 
-def _pair_planes(op: CollisionOperator, gb, ab, terms: np.ndarray) -> None:
-    """mult a_i a_j and mult g_i a_j into terms[:2] after column 0."""
+def _planes(op: CollisionOperator, g: np.ndarray):
+    """g and a = g / r over the band, and the loss and pair planes at g as
+    fill functions for _block_sums."""
+    c0, c1 = op.band
+    gb = g[c0:c1 + 1]
+    ab = gb / op.r_band
     n_rows, nb = op.mho_sl.shape
-    # 2 a_{s-i}, zero where s - i leaves the band; a pair i = j counts once
+    # 2 a_{s-i}, zero where s - i leaves the band
     two_a = np.zeros(n_rows + nb - 1)
     np.multiply(ab, 2.0, out=two_a[nb - 1:2 * nb - 1])
     aj = _by_diagonal(two_a, nb)
-    np.multiply(ab, aj, out=terms[0, :, 1:])
-    np.multiply(gb, aj, out=terms[1, :, 1:])
-    terms.reshape(2, -1)[:, op.i_is_j] *= 0.5
+
+    def plane(x, by, pairs=False):
+        def fill(rows, cols, out):
+            np.multiply(x[cols], by[rows, cols], out=out)
+            if pairs:  # a pair i = j, in row 2 i, counts once
+                i = np.arange(max(cols.start, (rows.start + 1) // 2),
+                              min(cols.stop, (rows.stop + 1) // 2))
+                out[2 * i - rows.start, i - cols.start] *= 0.5
+        return fill
+
+    return gb, ab, ([plane(gb, op.mho_sl), plane(ab, op.mho_sl), plane(ab, op.rmho_sl)],
+                    [plane(ab, aj, True), plane(gb, aj, True)])
 
 
 def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     """The operator at density g: gains at l and m minus losses at i and j."""
     if not op.n_entries:  # a band with no node
         return np.zeros(op.grid.n_nodes)
-    c0, c1 = op.band
-    gb = g[c0:c1 + 1]
-    ab = gb / op.r_band
-    n_rows, nb = op.mho_sl.shape
-
-    terms = np.empty((3, n_rows, nb + 1))
-    terms[:, :, 0] = 0.0
-    _loss_planes(op, gb, ab, terms)
-    A, B, C = _range_sums(terms, op.loss_ends).reshape(3, -1)
+    gb, ab, (loss_planes, pair_planes) = _planes(op, g)
+    A, B, C = _block_sums(loss_planes, op.loss_ends, op.loss_blocks).reshape(3, -1)
     ai = ab.take(op.pair_i)
     loss = op.pair_kmult * ab.take(op.pair_j) * (ai * (A + C) + gb.take(op.pair_i) * B)
 
-    terms = terms[:2]
-    _pair_planes(op, gb, ab, terms)
-    A, B, C = _range_sums(terms, op.gain_ends).reshape(3, -1)
+    A, B, C = _block_sums(pair_planes, op.gain_ends, op.gain_blocks).reshape(3, -1)
     al = ab.take(op.cell_l)
     gain = op.cell_kmho * (gb.take(op.cell_l) * A + al * B) + op.cell_krmho * al * C
 
@@ -505,6 +579,7 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
     plane can be nonzero, and empty ones are dropped."""
     n, (c0, c1) = op.grid.n_nodes, op.band
     n_rows, nb = op.mho_sl.shape
+    _check_indices(n, 5 * n_rows * (nb + 1))
     T = max(c1 - 1, 0)  # t = 1 .. T
     row, t = np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c1 + 1)[:, None])
     t += 1
@@ -517,12 +592,10 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
         s = row + 2 * c0
         lo = np.maximum(np.maximum(lo, c0), s - c1 if pairs else s - n + 1)
         hi = np.minimum(np.minimum(hi, c1), s // 2 if pairs else s - 1)
-        return _flat_ranges(plane, row, lo, hi, c0, (0, n_rows, nb + 1))
+        return plane, row, lo, hi
 
-    def index(*parts):  # the nonempty ranges, and where their sums go
-        ends = np.concatenate(parts, axis=1)
-        keep = np.flatnonzero(ends[1] > ends[0])
-        return np.ascontiguousarray(ends[:, keep], dtype=np.intp), keep, ends.shape[1]
+    def index(*parts):
+        return _blocked(parts, c0, nb, n_rows)
 
     # B covers t while min(l, m) > t, i.e. l <= cap; pairs up to last have
     # e_i <= cap; sig is B's anchor pair (t where E + t < 1, which empties
@@ -538,17 +611,18 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
     # SP at t+1 and per l at iota, B's capped and anchored P ranges; z per l;
     # then the ranges of z, v and w (see _region_masses)
     return SimpleNamespace(
-        cells=t.size, t=t, delta_hi=cap, shape=(n_rows, T), flat=row * T + t - 1,
-        loss_ends=index(ends(0, row, c0, t, False), ends(2, row, s - t, E + 2 * t + 2, False),
-                        ends(1, row, t + 1, cap, False), ends(1, row, t + 1, top, False),
-                        ends(1, x_row, w_lo, xE + 2 * x, False)),
-        pair_ends=index(ends(0, row, t + 1, t + n, True),
-                        ends(0, x_row, iota, c1 * (2 * x > xs), True),
-                        ends(1, row, np.maximum(sig, last) + 1, t, True),
-                        ends(1, row, sig + 1, last, True), ends(1, x_row, iota, z_hi, True)),
-        zvw_ends=index(ends(0, row, t + 1, np.minimum(top, cap), False),
-                       ends(1, row, np.maximum(s - t, E + 2 * t + 3), s, False),
-                       ends(2, row, sig + 1, last, True)))
+        cells=t.size, t=t.astype(np.int32), delta_hi=cap.astype(np.int32), shape=(n_rows, T),
+        flat=(row * T + t - 1).astype(np.int32),
+        loss=index(ends(0, row, c0, t, False), ends(2, row, s - t, E + 2 * t + 2, False),
+                   ends(1, row, t + 1, cap, False), ends(1, row, t + 1, top, False),
+                   ends(1, x_row, w_lo, xE + 2 * x, False)),
+        pairs=index(ends(0, row, t + 1, t + n, True),
+                    ends(0, x_row, iota, c1 * (2 * x > xs), True),
+                    ends(1, row, np.maximum(sig, last) + 1, t, True),
+                    ends(1, row, sig + 1, last, True), ends(1, x_row, iota, z_hi, True)),
+        zvw=index(ends(0, row, t + 1, np.minimum(top, cap), False),
+                  ends(1, row, np.maximum(s - t, E + 2 * t + 3), s, False),
+                  ends(2, row, sig + 1, last, True)))
 
 
 def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -572,32 +646,27 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
     every y in (T, min(2X, Y)], and beyond 2X up to Y where 2x > Y, else up
     to 2x: w = P_x (b over 2X < y <= 2x).  X is the same for every T in
     [X, 2X), so z and w are one array per row.  Every sum is of nonnegative
-    terms over a range of a row, and goes through _range_sums.
+    terms over a range of a row, and goes through _range_sums block by
+    block, on the operator's planes through windows of its own.
     """
     c = op.production_cells
-    c0, c1 = op.band
     n_rows, nb = op.mho_sl.shape
-    gb = g[c0:c1 + 1]
-    ab = gb / op.r_band
-    loss, pairs = np.zeros((3, n_rows, nb + 1)), np.zeros((2, n_rows, nb + 1))
-    _loss_planes(op, gb, ab, loss)
-    _pair_planes(op, gb, ab, pairs)
-
-    def sums(terms, ranges):
-        ends, keep, size = ranges
-        out = np.zeros(size)
-        out[keep] = _range_sums(terms, ends)
-        return out
-
+    _, _, (loss, pairs) = _planes(op, g)
     k, nodes = c.cells, n_rows * nb
-    pre, q, b_cap, b_top, w = np.split(sums(loss, c.loss_ends), [k, 2 * k, 3 * k, 4 * k])
+    pre, q, b_cap, b_top, w = np.split(_block_sums(loss, *c.loss), [k, 2 * k, 3 * k, 4 * k])
     sp, sp_iota, p_cap, p_top, z = np.split(
-        sums(pairs, c.pair_ends), [k, k + nodes, 2 * k + nodes, 3 * k + nodes])
-    zvw = loss  # each plane is read before it is overwritten
-    zvw[0, :, 1:] = loss[1, :, 1:] * z.reshape(n_rows, nb)
-    zvw[1, :, 1:] = loss[2, :, 1:] * sp_iota.reshape(n_rows, nb)
-    np.multiply(pairs[1, :, 1:], w.reshape(n_rows, nb), out=zvw[2, :, 1:])
-    z, v, w = np.split(sums(zvw, c.zvw_ends), 3)
+        _block_sums(pairs, *c.pairs), [k, k + nodes, 2 * k + nodes, 3 * k + nodes])
+
+    def times(fill, factor):  # the plane times a value per node
+        factor = factor.reshape(n_rows, nb)
+
+        def scaled(rows, cols, out):
+            fill(rows, cols, out)
+            out *= factor[rows, cols]
+        return scaled
+
+    z, v, w = np.split(_block_sums([times(loss[1], z), times(loss[2], sp_iota),
+                                    times(pairs[1], w)], *c.zvw), 3)
     kh = op.kw.c_q * op.grid.h ** 3
     return kh * (sp * (pre + q) + v), kh * (z + p_cap * b_cap + p_top * b_top + w)
 

@@ -8,18 +8,22 @@ validated entry by entry against the scalar kernel function.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import deposit_scale, production, random_state, table_rhs
+from conftest import deposit_scale, production, random_state, table_production, table_rhs
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
 from wavekin import solver
 from wavekin.diagnostics import (
     DiagnosticsConfig,
+    convex_production,
     kinked_low_pass,
+    production_weights,
     quadratic_test,
 )
+from wavekin.diagnostics import test_function_registry as registry
 from wavekin.dispersion import DispersionRelation
 from wavekin.solver import (
     ConservationError,
@@ -312,6 +316,76 @@ class TestCollisionOperator:
         flat = terms.ravel()
         want = np.array([math.fsum(flat[a + 1:b + 1]) for a, b in ends.T])
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("n_nodes", [24, 64, 128])
+    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_block_size_changes_only_rounding(self, alpha, cutoff_n, n_nodes, monkeypatch):
+        # one row per block against every row in one block: each range moves
+        # to another window, so only the rounding of its prefix sums changes
+        grid = OmegaGrid(DispersionRelation.power_law(alpha), n_nodes, 8.0)
+        kw = KernelWeights(cutoff_n=cutoff_n)
+        table = build_kernel_table(kw, grid)
+        ops = []
+        for cells in (1, 2 * n_nodes * n_nodes):
+            monkeypatch.setattr(solver, "BLOCK_CELLS", cells)
+            ops.append(build_operator(kw, grid))
+        n_rows = ops[0].mho_sl.shape[0]
+        assert {span[2] - span[1] for span in ops[0].loss_blocks.spans} == {1}
+        assert {span[1:3] for span in ops[1].gain_blocks.spans} == {(0, n_rows)}
+        phis = registry(["low_pass:2.0", "quadratic", "band_cap:0.4"])
+        weights = [production_weights(op, phis) for op in ops]
+        rng = np.random.default_rng(1)
+        states = [rng.uniform(0.1, 2.0, n_nodes),
+                  np.exp(-0.5 * ((grid.omega - 4.0) / 0.6) ** 2),
+                  10.0 ** rng.uniform(-12.0, 0.0, n_nodes)]
+        for g in states:
+            g[0] = 0.0
+            scale = deposit_scale(table, table_rhs(table, g)[1])
+            one_row, all_rows = (solver._rhs_of_g(op, g) for op in ops)
+            assert np.all(np.abs(one_row - all_rows) <= 1e-13 * scale)
+            assert max(_worst_oracle_gap(op, table, g) for op in ops) <= 1e-12
+            state = SpectrumState(g=g, time=0.0, grid=grid)
+            one_row, all_rows = (convex_production(op, state, w) for op, w in zip(ops, weights))
+            for name, phi in phis.items():
+                (p1, s1), (p2, _) = one_row[name], all_rows[name]
+                assert abs(p1 - p2) <= 1e-13 * s1, name
+                want, want_scale, floor = table_production(table, g, phi(grid.omega))
+                for p in (p1, p2):
+                    assert abs(p - want) <= 1e-12 * want_scale + floor, name
+
+    def test_working_set_at_512_nodes(self, d_quad):
+        # with whole planes, one call peaked at 62.8 MiB and one production
+        # call at 93.6 MiB; a window of rows at a time keeps both far lower
+        grid = OmegaGrid(d_quad, 512, 8.0)
+        op = build_operator(KernelWeights(), grid)
+        state = gaussian_bump(grid, center=4.0, width=0.6, amplitude=1.0)
+        weights = production_weights(op, registry(["quadratic"]))
+        for call, limit_mib in ((lambda: solver._rhs_of_g(op, state.g), 31.0),
+                                (lambda: convex_production(op, state, weights), 46.8)):
+            call()  # the first production call sets up its cells
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit_mib * 2 ** 20
+
+    def test_production_cells_check_int32_first(self, op32_quad, monkeypatch):
+        # production keeps up to five ranges per cell of the planes, against
+        # the operator's three, so it checks its own count before building
+        seen = []
+
+        def refuse(n, count):
+            seen.append((n, count))
+            raise ValueError("refused")
+
+        monkeypatch.setattr(solver, "_check_indices", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            solver._production_cells(op32_quad)
+        n_rows, nb = op32_quad.mho_sl.shape
+        assert seen == [(32, 5 * n_rows * (nb + 1))]
 
     def test_640_nodes_need_no_table_budget(self, d_quad):
         # the table of this grid would need about 2,129 MiB
