@@ -31,6 +31,21 @@ CAP_POINTS = 2000
 #: Ball samples per vcone_mc estimate.
 VCONE_SAMPLES = 400_000
 
+# Samples per block of mollified_delta_mc's arithmetic: its temporaries stay
+# in cache, while the random draws keep their chunk sizes.
+_BLOCK_ROWS = 2 ** 14
+
+
+def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Elementwise sqrt(x*x + y*y + z*z).
+
+    For the columns of an (N, 3) array, ``_norm3(*a.T)``, this equals
+    np.linalg.norm(a, axis=1) bit for bit, since that adds the same three
+    squares in the same order, but it builds no (N, 3) array of squares and
+    reduces no axis of length 3.
+    """
+    return np.sqrt(x * x + y * y + z * z)
+
 
 def sphere_manifold_oracle(
     k2: Sequence[float],
@@ -82,12 +97,18 @@ def mollified_delta_mc(
     ``n_batches`` splits the samples into independently seeded streams; the
     result is deterministic for a fixed (seed, n_batches) pair and the spread
     across batches provides the error estimate, so ValueError is raised
-    unless 2 <= n_batches <= n_samples.
+    unless 2 <= n_batches <= n_samples and n_batches divides n_samples.
+    Each stream is drawn in chunks of up to 2M samples, and each chunk is
+    evaluated in blocks of _BLOCK_ROWS samples (``integrand`` is called once
+    per block, elementwise on an array of radii); every chunk's products are
+    summed at once, so the estimate does not depend on the block size.
     """
     if n_batches < 2:
         raise ValueError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
     if n_samples < n_batches:
         raise ValueError(f"n_samples ({n_samples}) must be at least n_batches ({n_batches})")
+    if n_samples % n_batches:
+        raise ValueError(f"n_batches ({n_batches}) must divide n_samples ({n_samples})")
     k2 = np.asarray(k2, dtype=float).reshape(3)
     k3 = np.asarray(k3, dtype=float).reshape(3)
     gamma = k2 + k3
@@ -101,6 +122,25 @@ def mollified_delta_mc(
     eps1 = 0.03 * w_total
     eps2 = 0.5 * eps1
 
+    def chunk_sums(rng: np.random.Generator, take: int) -> Tuple[float, float]:
+        """Sums of phi * delta_eps over ``take`` fresh samples, at both widths."""
+        normals = rng.normal(size=(take, 3))
+        uniforms = rng.uniform(size=(take, 1))
+        terms = np.empty((2, take))
+        for lo in range(0, take, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            u = normals[rows].T
+            rx = radius * uniforms[rows, 0] ** (1.0 / 3.0)
+            u_norm = _norm3(*u)
+            # the components of gamma - x, x = rx * u / |u|
+            a = [gj - rx * (uj / u_norm) for gj, uj in zip(gamma.tolist(), u)]
+            g = eval_omega(d, _norm3(*a)) + eval_omega(d, rx) - w_total
+            phi = integrand(rx)
+            for eps, out in zip((eps1, eps2), terms):
+                dens = np.exp(-0.5 * (g / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
+                np.multiply(phi, dens, out=out[rows])
+        return float(np.sum(terms[0])), float(np.sum(terms[1]))
+
     per_batch = n_samples // n_batches
     est1 = np.empty(n_batches)
     est2 = np.empty(n_batches)
@@ -113,21 +153,9 @@ def mollified_delta_mc(
         while left > 0:
             take = min(chunk, left)
             left -= take
-            u = rng.normal(size=(take, 3))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            rad = radius * rng.uniform(size=(take, 1)) ** (1.0 / 3.0)
-            x = rad * u
-            rx = rad[:, 0]
-            ry = np.linalg.norm(gamma - x, axis=1)
-            g = eval_omega(d, ry) + eval_omega(d, rx) - w_total
-            phi = integrand(rx)
-            for eps, acc in ((eps1, 1), (eps2, 2)):
-                dens = np.exp(-0.5 * (g / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
-                val = float(np.sum(phi * dens))
-                if acc == 1:
-                    s1 += val
-                else:
-                    s2 += val
+            t1, t2 = chunk_sums(rng, take)
+            s1 += t1
+            s2 += t2
         est1[b] = volume * s1 / per_batch
         est2[b] = volume * s2 / per_batch
 
@@ -160,9 +188,9 @@ def cap_coverage_mc(
     for e in range(n_experiments):
         rng = np.random.default_rng([seed, 0, e])
         axes = rng.normal(size=(N, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes /= _norm3(*axes.T)[:, None]
         pts = rng.normal(size=(CAP_POINTS, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts /= _norm3(*pts.T)[:, None]
         covered = (pts @ axes.T) >= cos_thresh
         fractions[e] = float(np.mean(np.any(covered, axis=1)))
     mean = float(np.mean(fractions))
@@ -186,13 +214,11 @@ def vcone_mc(
     if not 0.0 <= rho <= R:
         raise ValueError(f"rho must lie in [0, R], got {rho}")
     rng = np.random.default_rng([seed, 0])
-    u = rng.normal(size=(VCONE_SAMPLES, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rad = R * rng.uniform(size=(VCONE_SAMPLES, 1)) ** (1.0 / 3.0)
-    x = rad * u
-    lhs = x[:, 2]
-    rhs_val = np.linalg.norm(x, axis=1) * rho / R
-    hits = int(np.count_nonzero(lhs >= rhs_val))
+    u = rng.normal(size=(VCONE_SAMPLES, 3)).T
+    rad = R * rng.uniform(size=(VCONE_SAMPLES, 1))[:, 0] ** (1.0 / 3.0)
+    u_norm = _norm3(*u)
+    x = [rad * (uj / u_norm) for uj in u]
+    hits = int(np.count_nonzero(x[2] >= _norm3(*x) * rho / R))
     p = hits / VCONE_SAMPLES
     ball = 4.0 / 3.0 * math.pi * R ** 3
     stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / VCONE_SAMPLES) * ball

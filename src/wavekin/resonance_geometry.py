@@ -24,6 +24,7 @@ Three independent constructions live here.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -414,15 +415,94 @@ class ResonanceManifold:
         return invert_omega(self.d, max(w_left, 0.0))
 
 
+# 21-point Gauss-Kronrod rule on [-1, 1], as in QUADPACK's qk21 (Piessens et
+# al. 1983): the Kronrod nodes x > 0 in decreasing order, then x = 0, with their
+# weights; the odd-indexed positive nodes are the 10-point Gauss-Legendre nodes,
+# with the weights _GAUSS10_W.  Literals, so importing the module computes none.
+_KRONROD21_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD21_W = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980298000, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS10_W = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the same rules over all 21 nodes, ordered from -1 to 1; the Gauss rule has
+# weight 0 at the Kronrod-only nodes
+_GK21_NODES = np.array([-x for x in _KRONROD21_X[:-1]] + list(_KRONROD21_X[::-1]))
+_GK21_WEIGHTS = np.array(_KRONROD21_W[:-1] + _KRONROD21_W[::-1])
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1:10:2] = _GAUSS10_W
+_G10_WEIGHTS[11:] = _G10_WEIGHTS[9::-1]
+
+
+def _gauss_kronrod21(f: Callable[[float], float], lo: float, hi: float
+                     ) -> Tuple[float, float]:
+    """(21-point Kronrod estimate of int_lo^hi f, its gap to the 10-point Gauss one).
+
+    The gap bounds the Gauss rule's error, so it overstates the Kronrod
+    rule's: a conservative error estimate.
+    """
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (lo + hi) + half * _GK21_NODES
+    fx = np.array([f(x) for x in nodes.tolist()])
+    kronrod = half * float(_GK21_WEIGHTS @ fx)
+    return kronrod, abs(kronrod - half * float(_G10_WEIGHTS @ fx))
+
+
+def _adaptive_gauss_kronrod(f: Callable[[float], float], lo: float, hi: float,
+                            epsabs: float, epsrel: float, limit: int
+                            ) -> Tuple[float, float]:
+    """Globally adaptive Gauss-Kronrod quadrature: (value, error estimate).
+
+    Bisects the panel with the largest error estimate until the summed
+    estimate meets max(epsabs, epsrel * |value|), there are ``limit`` panels,
+    or that panel is too narrow to bisect in floating point.
+    """
+    val, err = _gauss_kronrod21(f, lo, hi)
+    panels = [(-err, lo, hi, val)]  # a heap: the largest error comes first
+    while err > max(epsabs, epsrel * abs(val)) and len(panels) < limit:
+        a, b = panels[0][1:3]
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        heapq.heappop(panels)
+        for p, q in ((a, mid), (mid, b)):
+            v, e = _gauss_kronrod21(f, p, q)
+            heapq.heappush(panels, (-e, p, q, v))
+        val = math.fsum(panel[3] for panel in panels)
+        err = -math.fsum(panel[0] for panel in panels)
+    return val, err
+
+
 def manifold_quadrature(m: ResonanceManifold, integrand: Callable[[float], float]) -> float:
     """Integral of a radial function over the manifold against d(mu)/|grad G|.
 
     Reduces to (2*pi/|gamma|) * int_A^B integrand(u) * u * mho(v(u)) du with
-    v(u) the resonance partner radius.  An empty admissible interval yields
-    exactly 0 (check ``m.is_empty`` to distinguish that case).
-    """
-    from scipy import integrate
+    v(u) the resonance partner radius; ``integrand`` is called on floats.  An
+    empty admissible interval yields exactly 0 (check ``m.is_empty`` to
+    distinguish that case).
 
+    The 1-D integral is an adaptive 21-point Gauss-Kronrod rule (NumPy only)
+    to epsabs = 1e-12, epsrel = 1e-9, on at most 200 panels.  Its error
+    estimate is the gap to the embedded 10-point Gauss rule, which overstates
+    the Kronrod rule's error, also where mho(v) has a branch point just
+    beyond B (v -> 0 there when |k2| or |k3| is small).  A RuntimeWarning
+    reports an error estimate above both 1e-6 of the value and 1e-10.
+    """
     if m.is_empty:
         return 0.0
     d = m.d
@@ -431,9 +511,8 @@ def manifold_quadrature(m: ResonanceManifold, integrand: Callable[[float], float
         v = m.partner_radius(u)
         return integrand(u) * u * eval_mho(d, v)
 
-    val, abserr = integrate.quad(
-        f, m.u_min, m.u_max, limit=200, epsabs=1e-12, epsrel=1e-9
-    )
+    val, abserr = _adaptive_gauss_kronrod(f, m.u_min, m.u_max,
+                                          epsabs=1e-12, epsrel=1e-9, limit=200)
     scale = max(abs(val), 1e-30)
     if abserr > 1e-6 * scale and abserr > 1e-10:
         warnings.warn(

@@ -532,22 +532,23 @@ class TestReportCommand:
         assert "no such file" in capsys.readouterr().err
 
 
-# simulate then report in one fresh interpreter; the last stdout line lists
-# the scipy modules loaded by then
+# simulate, report and verify-geometry in one fresh interpreter; the last
+# stdout line lists the scipy modules loaded by then
 _SCIPY_PROBE = """
 import json, sys
 from wavekin.cli import main
 cfg, out = sys.argv[1], sys.argv[2]
 codes = [main(["simulate", "--config", cfg, "--out", out]),
-         main(["report", out + "/series.csv"])]
+         main(["report", out + "/series.csv"]),
+         main(["verify-geometry", "--seed", "1"])]
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
 class TestImportGuard:
-    def test_simulate_and_report_never_import_scipy(self, run_dir):
-        # SciPy costs ~1 s of import time; only the geometry suite may load it
+    def test_simulate_report_and_geometry_never_import_scipy(self, run_dir):
+        # SciPy costs ~1 s of import time; only PointSet3's k-d tree uses it
         tmp_path, cfg_path = run_dir
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, str(cfg_path), str(tmp_path / "sim")],
@@ -555,7 +556,7 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"codes": [0, 0], "scipy": []}
+        assert result == {"codes": [0, 0, 0], "scipy": []}
 
 
 def _fast_verify_kernel(monkeypatch, bad_calls=()):

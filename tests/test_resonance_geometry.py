@@ -7,14 +7,21 @@ the (1 - (1-q)^N) covering law, and the alpha = 2 spreading root sqrt(3)
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wavekin.cli import check_covering, check_spreading_root
 from wavekin.dispersion import DispersionRelation, eval_omega
-from wavekin.reference import cap_coverage_mc, mollified_delta_mc, sphere_manifold_oracle
+from wavekin.reference import (
+    cap_coverage_mc,
+    mollified_delta_mc,
+    sphere_manifold_oracle,
+    vcone_mc,
+)
 from wavekin.resonance_geometry import (
+    _gauss_kronrod21,
     BracketError,
     PointSet3,
     ResonanceManifold,
@@ -309,9 +316,121 @@ class TestResonanceManifold:
 
     @pytest.mark.parametrize("n_samples, n_batches, match", [
         (10_000, 1, "n_batches"), (10_000, 0, "n_batches"), (3, 4, "n_samples"),
+        (10_000, 3, "divide"),
     ])
     def test_mollified_mc_needs_a_standard_error(self, d_mid, n_samples, n_batches,
                                                  match):
         with pytest.raises(ValueError, match=match):
             mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3], lambda rr: rr,
                                n_samples=n_samples, seed=1, n_batches=n_batches)
+
+    def test_gauss_kronrod_rule_is_exact_on_polynomials(self):
+        # the 21-point Kronrod rule has degree 31 and its 10-point Gauss rule
+        # degree 19, which pins every digit of the literal nodes and weights
+        for k in range(32):
+            val, gap = _gauss_kronrod21(lambda x: x ** k, 0.0, 1.0)
+            assert abs(val - 1.0 / (k + 1)) <= 1e-15, k
+            assert (gap <= 1e-15) == (k < 20), k
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 2.0])
+    def test_quadrature_matches_mpmath_oracle(self, alpha):
+        # near-singular pairs: for small |k2| the partner radius v(u) nearly
+        # vanishes at u_max, where mho(v) = v^(2-alpha)/alpha has a branch point
+        mpmath = pytest.importorskip("mpmath")
+        d = DispersionRelation.power_law(alpha)
+        rng = np.random.default_rng(int(alpha * 10))
+        pairs = [((s, 0.0, 0.0), (0.0, 1.0, 1.0)) for s in (0.1, 0.03, 0.01, 0.003, 1e-4)]
+        pairs += [(rng.normal(size=3), rng.normal(size=3)) for _ in range(15)]
+        for k2, k3 in pairs:
+            coeffs = rng.uniform(-1.0, 1.0, 3)
+            m = ResonanceManifold(k2=np.asarray(k2), k3=np.asarray(k3), d=d)
+            got = manifold_quadrature(
+                m, lambda u: coeffs[0] + coeffs[1] * u + coeffs[2] * u * u
+            )
+            want, abs_want, oracle_err = _mpmath_manifold_integral(
+                mpmath, alpha, k2, k3, coeffs, m.u_min, m.u_max
+            )
+            assert oracle_err <= 1e-15 * abs_want
+            assert abs(got - want) <= 1e-9 * abs_want, (k2, k3, coeffs)
+
+    def test_unconverged_quadrature_warns(self, d_mid):
+        m = ResonanceManifold(k2=np.array([0.9, 0.1, 0.0]),
+                              k3=np.array([-0.2, 0.8, 0.3]), d=d_mid)
+        with pytest.warns(RuntimeWarning, match="manifold quadrature error estimate"):
+            manifold_quadrature(m, lambda u: math.sin(1e4 * u))
+
+
+def _mpmath_manifold_integral(mpmath, alpha, k2, k3, coeffs, a, b):
+    """(integral, integral of |f|, error estimate) of the power-law manifold
+    quadrature of the polynomial ``coeffs`` over [a, b], to 30 digits.
+
+    f(u) = poly(u) * u * mho(v) with v^alpha = W - u^alpha, clamped at 0 so
+    the rounded endpoints cannot leave the domain.  [a, b] is cut at the
+    polynomial's roots, where |f| has kinks, and geometrically toward each
+    end that lies within a panel width of a branch point of f (u = 0, and
+    u = W^(1/alpha) where v = 0), so tanh-sinh sees no near singularity.
+    """
+    with mpmath.workdps(30):
+        mpf = mpmath.mpf
+        al = mpf(alpha)
+        k2 = [mpf(float(x)) for x in k2]
+        k3 = [mpf(float(x)) for x in k3]
+        W = mpmath.norm(k2) ** al + mpmath.norm(k3) ** al
+        gnorm = mpmath.norm([x + y for x, y in zip(k2, k3)])
+        c0, c1, c2 = (mpf(float(c)) for c in coeffs)
+        power = (2 - al) / al
+
+        def f(u):
+            return (c0 + c1 * u + c2 * u * u) * u * max(W - u ** al, 0) ** power / al
+
+        a, b = mpf(a), mpf(b)
+        cuts = {a, b}
+        for end, gap, sign in ((a, a, 1), (b, W ** (1 / al) - b, -1)):
+            width = (b - a) / 8
+            while width > gap > 0:
+                cuts.add(end + sign * width)
+                width /= 8
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc > 0:
+            for root in ((-c1 - mpmath.sqrt(disc)) / (2 * c2),
+                         (-c1 + mpmath.sqrt(disc)) / (2 * c2)):
+                if a < root < b:
+                    cuts.add(root)
+        cuts = sorted(cuts)
+        pieces = [mpmath.quad(f, [p, q], method="tanh-sinh", error=True)
+                  for p, q in zip(cuts, cuts[1:])]
+        scale = 2 * mpmath.pi / gnorm
+        return (float(scale * mpmath.fsum(v for v, _ in pieces)),
+                float(scale * mpmath.fsum(abs(v) for v, _ in pieces)),
+                float(scale * mpmath.fsum(e for _, e in pieces)))
+
+
+class TestMonteCarloStreams:
+    """Frozen estimates: block sizes and norm formulas may change, the drawn
+    numbers and the arithmetic on each sample may not."""
+
+    def test_mollified_delta_mc_is_frozen(self, d_mid):
+        got = mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3],
+                                 lambda r: 1 + r, n_samples=1_000_000, seed=5,
+                                 n_batches=8)
+        assert got == (5.254776773225338, 0.04994481201304277)
+
+    def test_vcone_mc_is_frozen(self):
+        assert vcone_mc(2.0, 1.5, seed=2) == (4.220625010342768, 0.017579876715528398)
+
+    def test_cap_coverage_mc_is_frozen(self):
+        got = cap_coverage_mc(0.1, 44, n_experiments=60, seed=1)
+        assert got == (0.9917166666666668, 0.0012074022323398015)
+
+    def test_mollified_delta_mc_working_set(self, d_mid):
+        # whole-chunk temporaries peaked at 145 MiB here; blocks keep only the
+        # draws and two rows of products at chunk length
+        tracemalloc.start()
+        try:
+            mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3],
+                               lambda r: 1 + r, n_samples=2_000_000, seed=5,
+                               n_batches=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2 ** 20
