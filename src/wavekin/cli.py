@@ -130,10 +130,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "final_time": last.time,
         "mass_initial": first.mass,
         "mass_final": last.mass,
-        "mass_drift_rel": abs(last.mass - first.mass) / max(first.mass, 1e-300),
+        "mass_drift_rel": diag.relative_drift(first.mass, last.mass),
         "energy_initial": first.energy,
         "energy_final": last.energy,
-        "energy_drift_rel": abs(last.energy - first.energy) / max(first.energy, 1e-300),
+        "energy_drift_rel": diag.relative_drift(first.energy, last.energy),
         "cascade": diag.cascade_report([rec for _, rec in series]),
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:

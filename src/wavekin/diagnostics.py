@@ -27,6 +27,7 @@ __all__ = [
     "energy",
     "band_energy",
     "low_mass",
+    "relative_drift",
     "convex_production",
     "production_weights",
     "make_record",
@@ -87,6 +88,12 @@ def low_mass(state, delta: float) -> float:
     grid = state.grid
     sel = grid.omega <= delta * delta
     return float(np.sum(state.g[sel]) * grid.h)
+
+
+def relative_drift(q0: float, q) -> float:
+    """The largest |q - q0| / q0 over the values q (one or an array): how far
+    a conserved quantity drifted from its first value q0."""
+    return float(np.max(np.abs(np.subtract(q, q0))) / max(q0, 1e-300))
 
 
 def _second_differences(grid, phi: Callable) -> np.ndarray:
@@ -326,8 +333,6 @@ def cascade_report(
     times = np.array([rec.time for rec in kept])
 
     masses = np.array([rec.mass for rec in kept])
-    all_masses = np.array([rec.mass for rec in records])
-    all_energies = np.array([rec.energy for rec in records])
 
     report: Dict = {
         "n_records": len(records),
@@ -335,12 +340,8 @@ def cascade_report(
         "discard_fraction": discard_fraction,
         "t_start": float(records[0].time),
         "t_end": float(records[-1].time),
-        "mass_drift_rel": float(
-            np.max(np.abs(all_masses - all_masses[0])) / max(all_masses[0], 1e-300)
-        ),
-        "energy_drift_rel": float(
-            np.max(np.abs(all_energies - all_energies[0])) / max(all_energies[0], 1e-300)
-        ),
+        "mass_drift_rel": relative_drift(records[0].mass, [rec.mass for rec in records]),
+        "energy_drift_rel": relative_drift(records[0].energy, [rec.energy for rec in records]),
         "band_energy": {},
         "low_mass": {},
     }

@@ -18,6 +18,7 @@ inequalities on sampled grids rather than symbolically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -177,42 +178,47 @@ class DispersionRelation:
             raise ValueError("omega must be strictly increasing")
 
 
-def eval_omega(d: DispersionRelation, r) -> float:
+def _radial(fn: Callable) -> Callable:
+    """fn(d, r) at checked radii r >= 0: a float array to fn, a float back for scalar r."""
+    @functools.wraps(fn)
+    def at(d: DispersionRelation, r):
+        r_arr = np.asarray(r, dtype=float)
+        if np.any(r_arr < 0.0) or not np.all(np.isfinite(r_arr)):
+            raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
+        out = fn(d, r_arr)
+        return float(out) if r_arr.ndim == 0 else out
+    return at
+
+
+@_radial
+def eval_omega(d: DispersionRelation, r: np.ndarray) -> float:
     """Frequency at radius r.  Accepts scalars or arrays; r must be >= 0."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0) or not np.all(np.isfinite(r_arr)):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
     if d.kind == "power_law":
-        out = r_arr ** d.alpha
-    else:
-        out = np.vectorize(d.omega_fn, otypes=[float])(r_arr)
-    return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
+        return r ** d.alpha
+    return np.vectorize(d.omega_fn, otypes=[float])(r)
 
 
-def eval_mho(d: DispersionRelation, r) -> float:
+@_radial
+def eval_mho(d: DispersionRelation, r: np.ndarray) -> float:
     """The weight mho(r) = r / omega'(r).
 
     For the power law this is (1/alpha) * r**(2-alpha).  At r = 0 the value is
     the limit 0 whenever iota > 0; with iota = 0 the limit need not exist and
     r = 0 is rejected.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0) or not np.all(np.isfinite(r_arr)):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
-    if np.any(r_arr == 0.0) and d.iota <= 0.0:
+    if np.any(r == 0.0) and d.iota <= 0.0:
         raise ValueError("mho(0) undefined when iota = 0")
     if d.kind == "power_law":
-        out = np.where(r_arr == 0.0, 0.0, r_arr ** (2.0 - d.alpha) / d.alpha)
-    else:
-        def one(x: float) -> float:
-            if x == 0.0:
-                return 0.0
-            dp = d.omega_prime_fn(x)
-            if dp <= 0.0:
-                raise ValueError(f"omega'({x:g}) must be positive")
-            return x / dp
-        out = np.vectorize(one, otypes=[float])(r_arr)
-    return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
+        return np.where(r == 0.0, 0.0, r ** (2.0 - d.alpha) / d.alpha)
+
+    def one(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        dp = d.omega_prime_fn(x)
+        if dp <= 0.0:
+            raise ValueError(f"omega'({x:g}) must be positive")
+        return x / dp
+    return np.vectorize(one, otypes=[float])(r)
 
 
 def invert_omega(d: DispersionRelation, w: float) -> float:

@@ -171,7 +171,7 @@ class KernelTable:
 
 
 def _l_intervals(
-    i: int, j: np.ndarray, n: int, band: tuple[int, int],
+    i: int | np.ndarray, j: np.ndarray, n: int, band: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """First admissible l and the number of admissible l for pairs (i, j), i <= j.
 
@@ -278,11 +278,12 @@ BLOCK_CELLS = 2 ** 14
 
 
 class _Blocks(NamedTuple):
-    """Where the range sums of one block layout go (see _blocked)."""
+    """One block layout of range sums (see _blocked) and where they go."""
 
+    ends: np.ndarray  # int32 (start, end) prefix positions of each nonempty range
     keep: np.ndarray  # int32 output position of each nonempty range
     spans: tuple      # per plane and block: plane, rows, columns, ranges
-    size: int         # output length; an empty range sums to 0
+    bounds: tuple     # where each part ends in the output; an empty range sums to 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,10 +312,10 @@ class CollisionOperator:
     first column any of its ranges there reaches to the last: the columns
     outside it are never summed.  An evaluation fills one window at a time
     behind a zero column and takes its ranges' sums while it is in cache,
-    so its working set is one window, not the (2n x n) planes.
-    ``loss_ends`` and ``gain_ends`` are the nonempty ranges' int32 prefix
-    positions within their windows, set up once (see _blocked).  A range is
-    still the difference of two Sum2 prefix sums along one row, only of a
+    so its working set is one window, not the (2n x n) planes.  ``loss``
+    and ``gain`` are the block layouts of the A, B and C ranges of every
+    pair and of every cell, set up once (see _blocked).  A range is still
+    the difference of two Sum2 prefix sums along one row, only of a
     shorter row with a smaller prefix total, so the a-priori bound of
     _range_sums can only tighten, and RANGE_RTOL certifies each range, or
     sends it to direct summation, as before.  Node indices ``pair_*`` and
@@ -327,17 +328,14 @@ class CollisionOperator:
     band: tuple[int, int]
     #: number of admissible interactions, the entries build_kernel_table lists
     n_entries: int
-    r_band: np.ndarray = field(repr=False)
     mho_sl: np.ndarray = field(repr=False)   # mho_{s-l}, 0 where s-l is no node
     rmho_sl: np.ndarray = field(repr=False)  # r_{s-l} mho_{s-l}
-    loss_ends: np.ndarray = field(repr=False)  # A, B and C ranges of every pair
-    loss_blocks: _Blocks = field(repr=False)
+    loss: _Blocks = field(repr=False)
     pair_i: np.ndarray = field(repr=False)
     pair_j: np.ndarray = field(repr=False)
     pair_kmult: np.ndarray = field(repr=False)  # K * mult
     loss_nodes: np.ndarray = field(repr=False)  # i then j of every pair
-    gain_ends: np.ndarray = field(repr=False)  # A, B and C ranges of every cell
-    gain_blocks: _Blocks = field(repr=False)
+    gain: _Blocks = field(repr=False)
     cell_l: np.ndarray = field(repr=False)
     cell_kmho: np.ndarray = field(repr=False)   # K mho_m
     cell_krmho: np.ndarray = field(repr=False)  # K r_m mho_m
@@ -356,15 +354,15 @@ def _check_indices(n: int, count: int) -> None:
         raise ValueError(f"{n} nodes overflow the operator's int32 indices")
 
 
-def _blocked(parts, c0: int, nb: int, n_rows: int) -> tuple[np.ndarray, _Blocks]:
-    """Range ends in the block layout of CollisionOperator, and where their
-    sums go.
+def _blocked(parts, c0: int, nb: int, n_rows: int) -> _Blocks:
+    """The block layout of CollisionOperator for the ranges of ``parts``.
 
     ``parts`` lists (plane, row, lo, hi), the node ranges [lo, hi] of rows
-    of a plane, one part after another in output order.  Empty ranges are
-    dropped.  The rest of a plane are grouped by block, and each block gets
-    one span: the window from the first column its ranges reach to the
-    last, in which their ends are (start, end) prefix positions.
+    of a plane, one part after another in output order; ``bounds`` are
+    where each part ends.  Empty ranges are dropped.  The rest of a plane
+    are grouped by block, and each block gets one span: the window from the
+    first column its ranges reach to the last, in which their ``ends`` are
+    (start, end) prefix positions.  The layout's arrays are read-only.
     """
     rows = max(1, BLOCK_CELLS // (nb + 1))
     parts = [(plane, *np.broadcast_arrays(row, lo, hi)) for plane, row, lo, hi in parts]
@@ -390,7 +388,9 @@ def _blocked(parts, c0: int, nb: int, n_rows: int) -> tuple[np.ndarray, _Blocks]
                                               stop.tolist(), heads.tolist(), counts.tolist())]
         ends.append(np.stack([base, base + hi - lo + 1]))
         keeps.append(keep)
-    return np.concatenate(ends, axis=1), _Blocks(np.concatenate(keeps), tuple(spans), offsets[-1])
+    ends, keep = np.concatenate(ends, axis=1), np.concatenate(keeps)
+    ends.flags.writeable = keep.flags.writeable = False
+    return _Blocks(ends, keep, tuple(spans), tuple(offsets[1:]))
 
 
 def _by_diagonal(values: np.ndarray, nb: int) -> np.ndarray:
@@ -403,7 +403,7 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     in the block layout and the mho_{s-l} matrices, all over the radius band
     and with no loop over s."""
     n = grid.n_nodes
-    c0, c1 = _band(kw, grid)
+    c0, c1 = band = _band(kw, grid)
     nb = max(c1 - c0 + 1, 0)
     n_rows = max(2 * nb - 1, 0)
     _check_indices(n, 3 * n_rows * (nb + 1))
@@ -424,11 +424,10 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     row, col = np.nonzero(paired)
     ps, pi = s[row, 0], x[0, col]
     pj = ps - pi
-    lo = np.maximum(ps - n + 1, c0)
-    hi = np.minimum(np.minimum(ps - 1, n - 1 - (pj - pi)), c1)
-    loss_ends, loss_blocks = _blocked(
-        [(0, row, lo, pi), (1, row, pi + 1, np.minimum(pj - 1, hi)),
-         (2, row, np.maximum(pj, pi + 1), hi)], c0, nb, n_rows)
+    lo, hi = _l_intervals(pi, pj, n, band)
+    hi += lo - 1  # from the count of l to the last l, in place
+    loss = _blocked([(0, row, lo, pi), (1, row, pi + 1, np.minimum(pj - 1, hi)),
+                     (2, row, np.maximum(pj, pi + 1), hi)], c0, nb, n_rows)
 
     # cells (s, l): the gain at l and m is K (g_l mho_m A + a_l mho_m B +
     # a_l r_m mho_m C) with i-range sums of mult a_i a_j (A, C) and of
@@ -442,27 +441,23 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
               (0, np.maximum(np.maximum(i_min, cs - cl), q), np.minimum(i_max, cl - 1))]
     keep = np.any([a <= b for _, a, b in ranges], axis=0)
     row, cs, cl = row[keep], cs[keep], cl[keep]
-    gain_ends, gain_blocks = _blocked([(plane, row, a[keep], b[keep]) for plane, a, b in ranges],
-                                      c0, nb, n_rows)
+    gain = _blocked([(plane, row, a[keep], b[keep]) for plane, a, b in ranges], c0, nb, n_rows)
 
     def index(a):
         return np.ascontiguousarray(a, dtype=np.int32)
 
     cm = cs - cl
     op = CollisionOperator(
-        grid=grid, kw=kw, band=(c0, c1), n_entries=int((hi - lo + 1).sum()),
-        r_band=grid.r[c0:c0 + nb], mho_sl=_by_diagonal(mho_m, nb),
-        rmho_sl=_by_diagonal(rmho_m, nb),
-        loss_ends=loss_ends, loss_blocks=loss_blocks, pair_i=index(pi - c0),
-        pair_j=index(pj - c0), pair_kmult=np.where(pi < pj, 2.0 * K, K),
-        loss_nodes=index(np.concatenate((pi, pj))), gain_ends=gain_ends,
-        gain_blocks=gain_blocks, cell_l=index(cl - c0),
+        grid=grid, kw=kw, band=band, n_entries=int((hi - lo + 1).sum()),
+        mho_sl=_by_diagonal(mho_m, nb), rmho_sl=_by_diagonal(rmho_m, nb),
+        loss=loss, pair_i=index(pi - c0), pair_j=index(pj - c0),
+        pair_kmult=np.where(pi < pj, 2.0 * K, K),
+        loss_nodes=index(np.concatenate((pi, pj))), gain=gain, cell_l=index(cl - c0),
         cell_kmho=K * grid.mho[cm], cell_krmho=K * grid.r[cm] * grid.mho[cm],
         gain_nodes=index(np.concatenate((cl, cm))),
     )
-    for a in (op.r_band, op.mho_sl, op.rmho_sl, op.loss_ends, op.loss_blocks.keep,
-              op.pair_i, op.pair_j, op.pair_kmult, op.loss_nodes, op.gain_ends,
-              op.gain_blocks.keep, op.cell_l, op.cell_kmho, op.cell_krmho, op.gain_nodes):
+    for a in (op.mho_sl, op.rmho_sl, op.pair_i, op.pair_j, op.pair_kmult, op.loss_nodes,
+              op.cell_l, op.cell_kmho, op.cell_krmho, op.gain_nodes):
         a.flags.writeable = False
     return op
 
@@ -503,22 +498,22 @@ def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return v
 
 
-def _block_sums(planes, ends: np.ndarray, blocks: _Blocks) -> np.ndarray:
-    """The range sums of a block layout (see _blocked) in output order.
+def _block_sums(planes, layout: _Blocks) -> list[np.ndarray]:
+    """The range sums of a block layout (see _blocked), one array per part.
 
     Each of ``planes`` is a function fill(rows, cols, out) that writes the
     plane's values on a window; a block's windows are filled behind a zero
     column and summed by _range_sums while they are in cache.
     """
-    kept = np.empty(blocks.keep.size)
-    for plane, r0, r1, w0, w1, e0, e1 in blocks.spans:
+    kept = np.empty(layout.keep.size)
+    for plane, r0, r1, w0, w1, e0, e1 in layout.spans:
         terms = np.empty((r1 - r0, w1 - w0 + 1))
         terms[:, 0] = 0.0
         planes[plane](slice(r0, r1), slice(w0, w1), terms[:, 1:])
-        kept[e0:e1] = _range_sums(terms, ends[:, e0:e1])
-    out = np.zeros(blocks.size)
-    out[blocks.keep] = kept
-    return out
+        kept[e0:e1] = _range_sums(terms, layout.ends[:, e0:e1])
+    out = np.zeros(layout.bounds[-1])
+    out[layout.keep] = kept
+    return np.split(out, layout.bounds[:-1])
 
 
 def _planes(op: CollisionOperator, g: np.ndarray):
@@ -526,7 +521,7 @@ def _planes(op: CollisionOperator, g: np.ndarray):
     fill functions for _block_sums."""
     c0, c1 = op.band
     gb = g[c0:c1 + 1]
-    ab = gb / op.r_band
+    ab = gb / op.grid.r[c0:c1 + 1]
     n_rows, nb = op.mho_sl.shape
     # 2 a_{s-i}, zero where s - i leaves the band
     two_a = np.zeros(n_rows + nb - 1)
@@ -551,11 +546,11 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     if not op.n_entries:  # a band with no node
         return np.zeros(op.grid.n_nodes)
     gb, ab, (loss_planes, pair_planes) = _planes(op, g)
-    A, B, C = _block_sums(loss_planes, op.loss_ends, op.loss_blocks).reshape(3, -1)
+    A, B, C = _block_sums(loss_planes, op.loss)
     ai = ab.take(op.pair_i)
     loss = op.pair_kmult * ab.take(op.pair_j) * (ai * (A + C) + gb.take(op.pair_i) * B)
 
-    A, B, C = _block_sums(pair_planes, op.gain_ends, op.gain_blocks).reshape(3, -1)
+    A, B, C = _block_sums(pair_planes, op.gain)
     al = ab.take(op.cell_l)
     gain = op.cell_kmho * (gb.take(op.cell_l) * A + al * B) + op.cell_krmho * al * C
 
@@ -611,7 +606,7 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
     # SP at t+1 and per l at iota, B's capped and anchored P ranges; z per l;
     # then the ranges of z, v and w (see _region_masses)
     return SimpleNamespace(
-        cells=t.size, t=t.astype(np.int32), delta_hi=cap.astype(np.int32), shape=(n_rows, T),
+        t=t.astype(np.int32), delta_hi=cap.astype(np.int32), shape=(n_rows, T),
         flat=(row * T + t - 1).astype(np.int32),
         loss=index(ends(0, row, c0, t, False), ends(2, row, s - t, E + 2 * t + 2, False),
                    ends(1, row, t + 1, cap, False), ends(1, row, t + 1, top, False),
@@ -652,10 +647,8 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
     c = op.production_cells
     n_rows, nb = op.mho_sl.shape
     _, _, (loss, pairs) = _planes(op, g)
-    k, nodes = c.cells, n_rows * nb
-    pre, q, b_cap, b_top, w = np.split(_block_sums(loss, *c.loss), [k, 2 * k, 3 * k, 4 * k])
-    sp, sp_iota, p_cap, p_top, z = np.split(
-        _block_sums(pairs, *c.pairs), [k, k + nodes, 2 * k + nodes, 3 * k + nodes])
+    pre, q, b_cap, b_top, w = _block_sums(loss, c.loss)
+    sp, sp_iota, p_cap, p_top, z = _block_sums(pairs, c.pairs)
 
     def times(fill, factor):  # the plane times a value per node
         factor = factor.reshape(n_rows, nb)
@@ -665,8 +658,8 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
             out *= factor[rows, cols]
         return scaled
 
-    z, v, w = np.split(_block_sums([times(loss[1], z), times(loss[2], sp_iota),
-                                    times(pairs[1], w)], *c.zvw), 3)
+    z, v, w = _block_sums([times(loss[1], z), times(loss[2], sp_iota), times(pairs[1], w)],
+                          c.zvw)
     kh = op.kw.c_q * op.grid.h ** 3
     return kh * (sp * (pre + q) + v), kh * (z + p_cap * b_cap + p_top * b_top + w)
 
@@ -781,9 +774,8 @@ def evolve(
         rec = _diag.make_record(s, cfg, op, weights)
         out.append((s, rec))
         first = out[0][1]
-        for name, q0, q1 in (("mass", first.mass, rec.mass),
-                             ("energy", first.energy, rec.energy)):
-            drift = abs(q1 - q0) / max(q0, 1e-300)
+        for name in ("mass", "energy"):
+            drift = _diag.relative_drift(getattr(first, name), getattr(rec, name))
             if drift > 1e-10:
                 raise ConservationError(
                     f"{name} drifted by {drift:.3e} relative at t={rec.time:g} "

@@ -22,7 +22,7 @@ import wavekin
 from wavekin import cli, solver
 from wavekin.cli import main
 from wavekin.collision_kernel import KernelWeights
-from wavekin.config import ConfigError, RunConfig, load_config_file, parse_config
+from wavekin.config import _RANGES, ConfigError, RunConfig, load_config_file, parse_config
 from wavekin.dispersion import DispersionRelation
 from wavekin.solver import ring_in_r
 
@@ -188,7 +188,10 @@ class TestParseConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Configuration reference", 1)[1].split("\n#", 1)[0]
         listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
-        assert sorted(listed) == sorted(dotted(RunConfig))
+        keys = sorted(dotted(RunConfig))
+        assert sorted(listed) == keys
+        # a misspelt range key would silently drop its check
+        assert set(_RANGES) <= set(keys)
 
     def test_factories_build_consistent_objects(self):
         cfg = parse_config(MINI_YAML)
@@ -493,18 +496,29 @@ class TestPrecedence:
 
 
 class TestReportCommand:
-    def test_report_from_series(self, run_dir, capsys):
+    def test_report_from_series(self, run_dir, capsys, monkeypatch):
         tmp_path, cfg_path = run_dir
         out = tmp_path / "sim"
+        reported = []  # the records of each cascade_report call
+        cascade_report = cli.diag.cascade_report
+        monkeypatch.setattr(cli.diag, "cascade_report", lambda records, **kw: (
+            reported.append(list(records)) or cascade_report(records, **kw)))
         assert _simulate(cfg_path, out) == 0
         capsys.readouterr()  # drop the simulate chatter
         rc = main(["report", str(out / "series.csv")])
         assert rc == 0
-        rep = json.loads(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        rep = json.loads(text)
         assert rep["n_records"] >= 2
         assert "1" in rep["band_energy"]
         assert "0.5" in rep["low_mass"]
+        assert set(rep["convex_production_min"]) == {"low_pass:2.0", "quadratic"}
         assert rep["mass_drift_rel"] <= 1e-10
+        # every column kind (band, low-mass, production) reads back key for key
+        # and bit for bit: series.csv holds simulate's records from the second on
+        simulated, parsed = reported
+        assert parsed == simulated[1:]
+        assert text == json.dumps(cascade_report(simulated[1:]), indent=2, sort_keys=True) + "\n"
 
     def test_report_writes_json_with_out(self, run_dir, capsys):
         tmp_path, cfg_path = run_dir

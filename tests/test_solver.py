@@ -273,7 +273,7 @@ class TestCollisionOperator:
         op, table = build_operator(kw, grid), build_kernel_table(kw, grid)
         # both range lists enumerate every table entry once
         assert op.n_entries == table.n_entries > 0
-        for ends in (op.loss_ends, op.gain_ends):
+        for ends in (op.loss.ends, op.gain.ends):
             assert int(np.sum(ends[1] - ends[0], dtype=np.int64)) == table.n_entries
         rng = np.random.default_rng(1)
         states = [rng.uniform(0.1, 2.0, n_nodes),
@@ -331,8 +331,8 @@ class TestCollisionOperator:
             monkeypatch.setattr(solver, "BLOCK_CELLS", cells)
             ops.append(build_operator(kw, grid))
         n_rows = ops[0].mho_sl.shape[0]
-        assert {span[2] - span[1] for span in ops[0].loss_blocks.spans} == {1}
-        assert {span[1:3] for span in ops[1].gain_blocks.spans} == {(0, n_rows)}
+        assert {span[2] - span[1] for span in ops[0].loss.spans} == {1}
+        assert {span[1:3] for span in ops[1].gain.spans} == {(0, n_rows)}
         phis = registry(["low_pass:2.0", "quadratic", "band_cap:0.4"])
         weights = [production_weights(op, phis) for op in ops]
         rng = np.random.default_rng(1)
