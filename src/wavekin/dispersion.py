@@ -183,7 +183,12 @@ def _radial(fn: Callable) -> Callable:
     @functools.wraps(fn)
     def at(d: DispersionRelation, r):
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < 0.0) or not np.all(np.isfinite(r_arr)):
+        if r_arr.ndim == 0:  # the 0-d array, not a float, goes to fn: same bits as arrays
+            x = float(r_arr)
+            ok = math.isfinite(x) and x >= 0.0
+        else:
+            ok = not np.any(r_arr < 0.0) and np.all(np.isfinite(r_arr))
+        if not ok:
             raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
         out = fn(d, r_arr)
         return float(out) if r_arr.ndim == 0 else out

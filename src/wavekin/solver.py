@@ -24,9 +24,10 @@ error bound or else summed directly.  Mass and energy therefore cancel to the
 rounding of the totals rather than term by term.
 
 The terms of those sums form planes over (s, l) or (s, i), but no plane is
-built whole: a block of rows at a time, each over only the columns its
-ranges reach, is filled, prefix-summed and read while it is in cache.  A
-prefix sum then runs along a shorter row, so its error bound only tightens.
+built whole.  Each row is stored from the first column its ranges reach to
+the last, and rows of similar length, of any plane, share a window that is
+filled, prefix-summed and read while it is in cache.  A prefix sum then
+starts at its row's first reached column, so its prefix total only shrinks.
 
 Convex production reuses the same planes and range sums (_region_masses).
 The O(n^3) KernelTable (build_kernel_table) lists the interactions one by
@@ -272,17 +273,28 @@ _U = 2.0 ** -53
 #: A range sum whose a-priori error bound exceeds this fraction of its value
 #: is summed directly instead.
 RANGE_RTOL = 1e-14
-#: Cells of the planes per block of rows: a block's windows, prefix sums and
-#: error sums stay in a core's cache.
+#: Cells per row window: a window's terms, prefix sums and error sums stay in
+#: a core's cache.
 BLOCK_CELLS = 2 ** 14
 
 
-class _Blocks(NamedTuple):
-    """One block layout of range sums (see _blocked) and where they go."""
+class _Rows(NamedTuple):
+    """The rows of one plane in a window (see _windowed)."""
+
+    plane: int
+    rows: slice           # where they sit in the window
+    row: np.ndarray       # the plane's row (s - 2 c0) of each
+    first: np.ndarray     # its first stored column
+    diagonal: np.ndarray  # n_rows - 1 - row + first: where it starts by diagonal
+    half: np.ndarray      # where each cell i = j (row 2 i, column i) is in the window
+
+
+class _Windows(NamedTuple):
+    """One row-window layout of range sums (see _windowed) and where they go."""
 
     ends: np.ndarray  # int32 (start, end) prefix positions of each nonempty range
     keep: np.ndarray  # int32 output position of each nonempty range
-    spans: tuple      # per plane and block: plane, rows, columns, ranges
+    windows: tuple    # per window: its shape, its ranges (a slice) and its _Rows
     bounds: tuple     # where each part ends in the output; an empty range sums to 0
 
 
@@ -304,23 +316,24 @@ class CollisionOperator:
     a_j and mult g_i a_j).  The loss at a pair (s, i) takes three l ranges
     of row s, one per loss plane, and the gain at a cell (s, l) three i
     ranges of pair planes.  A value of s - l (or of s - i) is constant along
-    a diagonal, so ``mho_sl`` and ``rmho_sl`` are strided views of one value
-    per diagonal.
+    a diagonal, so ``mho_d`` and ``rmho_d`` hold one value per diagonal, in
+    the order a row meets them, then nb zeros (see mho_sl).
 
-    No plane is stored whole.  A block is BLOCK_CELLS // (band + 1)
-    consecutive rows (at least one), and its window in a plane runs from the
-    first column any of its ranges there reaches to the last: the columns
-    outside it are never summed.  An evaluation fills one window at a time
-    behind a zero column and takes its ranges' sums while it is in cache,
-    so its working set is one window, not the (2n x n) planes.  ``loss``
-    and ``gain`` are the block layouts of the A, B and C ranges of every
-    pair and of every cell, set up once (see _blocked).  A range is still
-    the difference of two Sum2 prefix sums along one row, only of a
-    shorter row with a smaller prefix total, so the a-priori bound of
-    _range_sums can only tighten, and RANGE_RTOL certifies each range, or
-    sends it to direct summation, as before.  Node indices ``pair_*`` and
-    ``cell_l`` are relative to c0; ``loss_nodes`` and ``gain_nodes`` are
-    absolute.
+    No plane is stored whole.  A row of a plane is stored from the first
+    column any of its ranges reaches to the last, and a window is a set of
+    such rows, of any of the planes, behind a zero column: rows of similar
+    length share a window of at most BLOCK_CELLS cells (or hold one of
+    their own).  An evaluation fills one window at a time and takes its
+    ranges' sums while it is in cache, so its working set is one window,
+    not the (2n x n) planes.  ``loss`` and ``gain`` are the window layouts
+    of the A, B and C ranges of every pair and of every cell, set up once
+    (see _windowed).  A range is still the difference of two Sum2 prefix
+    sums along one row of nonnegative terms, now of a row that starts at
+    its own first reached column, so its prefix total can only shrink; the
+    row length in the a-priori bound of _range_sums is the window's width,
+    at most the band's.  So RANGE_RTOL certifies each range, or sends it to
+    direct summation, as before.  Node indices ``pair_*`` and ``cell_l``
+    are relative to c0; ``loss_nodes`` and ``gain_nodes`` are absolute.
     """
 
     grid: OmegaGrid
@@ -328,18 +341,25 @@ class CollisionOperator:
     band: tuple[int, int]
     #: number of admissible interactions, the entries build_kernel_table lists
     n_entries: int
-    mho_sl: np.ndarray = field(repr=False)   # mho_{s-l}, 0 where s-l is no node
-    rmho_sl: np.ndarray = field(repr=False)  # r_{s-l} mho_{s-l}
-    loss: _Blocks = field(repr=False)
+    mho_d: np.ndarray = field(repr=False)   # mho_{s-l}, 0 where s-l is no node
+    rmho_d: np.ndarray = field(repr=False)  # r_{s-l} mho_{s-l}
+    loss: _Windows = field(repr=False)
     pair_i: np.ndarray = field(repr=False)
     pair_j: np.ndarray = field(repr=False)
     pair_kmult: np.ndarray = field(repr=False)  # K * mult
     loss_nodes: np.ndarray = field(repr=False)  # i then j of every pair
-    gain: _Blocks = field(repr=False)
+    gain: _Windows = field(repr=False)
     cell_l: np.ndarray = field(repr=False)
     cell_kmho: np.ndarray = field(repr=False)   # K mho_m
     cell_krmho: np.ndarray = field(repr=False)  # K r_m mho_m
     gain_nodes: np.ndarray = field(repr=False)  # l then m of every cell
+
+    @property
+    def mho_sl(self) -> np.ndarray:
+        """The (rows, band) matrix mho_{s-l}, a view of ``mho_d``: row r
+        holds mho_d[n_rows - 1 - r:][:nb], which sets the planes' shape."""
+        nb = max(self.band[1] - self.band[0] + 1, 0)
+        return _row_views(self.mho_d, nb)[:max(2 * nb - 1, 0)][::-1]
 
     @functools.cached_property
     def production_cells(self) -> SimpleNamespace:
@@ -354,86 +374,130 @@ def _check_indices(n: int, count: int) -> None:
         raise ValueError(f"{n} nodes overflow the operator's int32 indices")
 
 
-def _blocked(parts, c0: int, nb: int, n_rows: int) -> _Blocks:
-    """The block layout of CollisionOperator for the ranges of ``parts``.
+def _row_views(values: np.ndarray, width: int) -> np.ndarray:
+    """The rows values[k:k + width] for every k, a view of contiguous values."""
+    return np.ndarray((values.size - width + 1, width), values.dtype, values, 0,
+                      values.strides * 2)
 
-    ``parts`` lists (plane, row, lo, hi), the node ranges [lo, hi] of rows
-    of a plane, one part after another in output order; ``bounds`` are
-    where each part ends.  Empty ranges are dropped.  The rest of a plane
-    are grouped by block, and each block gets one span: the window from the
-    first column its ranges reach to the last, in which their ``ends`` are
-    (start, end) prefix positions.  The layout's arrays are read-only.
+
+def _part(plane: int, row, lo, hi) -> tuple:
+    """One part of a layout: the node ranges [lo, hi] of rows of a plane.
+
+    Returns the part's size and its nonempty ranges, each with its position
+    in the part, all int32, so a builder can drop a part's temporaries
+    before it makes the next.
     """
-    rows = max(1, BLOCK_CELLS // (nb + 1))
-    parts = [(plane, *np.broadcast_arrays(row, lo, hi)) for plane, row, lo, hi in parts]
-    offsets = np.cumsum([0] + [row.size for _, row, _, _ in parts]).tolist()
-    ends, keeps, spans = [np.zeros((2, 0), np.int32)], [np.zeros(0, np.int32)], []
-    for plane in sorted({part[0] for part in parts}):
-        kept = np.concatenate(
-            [np.stack([k + offset, row[k], lo[k] - c0, hi[k] - c0], dtype=np.int32)
-             for offset, (p, row, lo, hi) in zip(offsets, parts) if p == plane
-             for k in [np.flatnonzero(lo <= hi)]], axis=1)
-        block = kept[1] // rows
-        if np.any(block[1:] < block[:-1]):  # a stable sort merges the parts' runs
-            order = np.argsort(block, kind="stable")
-            kept, block = kept[:, order], block[order]
-        keep, row, lo, hi = kept
-        heads = np.flatnonzero(np.diff(block, prepend=-1))
-        counts = np.diff(heads, append=block.size)
-        first, stop = np.minimum.reduceat(lo, heads), np.maximum.reduceat(hi, heads) + 1
-        base = row % rows * np.repeat(stop - first + 1, counts) + lo - np.repeat(first, counts)
-        e = sum(a.size for a in keeps)
-        spans += [(plane, b * rows, min(b * rows + rows, n_rows), w0, w1, e + e0, e + e0 + m)
-                  for b, w0, w1, e0, m in zip(block[heads].tolist(), first.tolist(),
-                                              stop.tolist(), heads.tolist(), counts.tolist())]
-        ends.append(np.stack([base, base + hi - lo + 1]))
-        keeps.append(keep)
-    ends, keep = np.concatenate(ends, axis=1), np.concatenate(keeps)
+    row, lo, hi = np.broadcast_arrays(row, lo, hi)
+    k = np.flatnonzero(lo <= hi)
+    return (plane, lo.size, k.astype(np.int32),
+            *(a.take(k).astype(np.int32, copy=False) for a in (row, lo, hi)))
+
+
+def _windowed(parts, c0: int, n_rows: int) -> _Windows:
+    """The window layout of CollisionOperator for the ranges of ``parts``.
+
+    ``parts`` lists _part results, one after another in output order;
+    ``bounds`` are where each part ends.  Each (plane, row) is stored from
+    the first column its ranges reach to the last.  The rows are sorted by
+    that length, longest first (a stable sort, so a rerun gives the same
+    layout), and cut into windows of at most BLOCK_CELLS cells or of one
+    row; inside a window they go plane by plane and row by row, so each
+    plane's rows are filled at once.  ``ends`` are the (start, end) prefix
+    positions of the nonempty ranges in their window, window after window,
+    and a part's ranges are placed run by run (a run is ranges in one row),
+    with no sort over the ranges.  The layout's arrays are read-only.
+    """
+    offsets = np.cumsum([0] + [part[1] for part in parts]).tolist()
+    runs = []  # per part: each run's key (plane, row), head, size, first and last column
+    for plane, _, _, row, lo, hi in parts:
+        head = np.flatnonzero(np.diff(row, prepend=-1))
+        runs.append((row[head] + plane * n_rows, head, np.diff(head, append=row.size),
+                     np.minimum.reduceat(lo, head) - c0, np.maximum.reduceat(hi, head) - c0))
+    key, _, size, low, high = (np.concatenate(a) for a in zip(*runs))
+    n_keys = n_rows * (1 + max(part[0] for part in parts))
+    first = np.full(n_keys, n_rows + 1, np.int32)
+    np.minimum.at(first, key, low)
+    width = np.full(n_keys, -n_rows, np.int32)
+    np.maximum.at(width, key, high)
+    width -= first - 1
+    held = np.flatnonzero(width > 0)
+    held = held[np.argsort(-width[held], kind="stable")]  # longest row first
+
+    windows, window, base = [], np.zeros(n_keys, np.int32), np.zeros(n_keys, np.int32)
+    start = 0
+    while start < held.size:
+        w = int(width[held[start]])
+        keys = np.sort(held[start:start + max(1, BLOCK_CELLS // (w + 1))])
+        start += keys.size
+        window[keys] = len(windows)
+        base[keys] = np.arange(keys.size) * (w + 1) - first[keys]
+        plane, row = np.divmod(keys, n_rows)
+        cuts = np.flatnonzero(np.diff(plane, prepend=-1, append=-1))
+        rows = []
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            f, r = first[keys[a:b]].astype(np.intp), row[a:b]
+            i = np.flatnonzero((r % 2 == 0) & (r // 2 >= f) & (r // 2 < f + w))
+            rows.append(_Rows(int(plane[a]), slice(a, b), r, f, n_rows - 1 - r + f,
+                              (a + i) * (w + 1) + 1 + r[i] // 2 - f[i]))
+        windows.append(((keys.size, w + 1), tuple(rows)))
+
+    # the runs window by window, and in each window part by part: where each
+    # run's ranges go
+    at = window.take(key)
+    order = np.argsort(at, kind="stable")
+    to = np.empty(key.size, np.int32)
+    to[order] = np.cumsum(size[order]) - size[order]
+    stops = np.cumsum(np.bincount(at, size, len(windows))).astype(int).tolist()
+    ends = np.empty((2, int(size.sum())), np.int32)
+    keep = np.empty(ends.shape[1], np.int32)
+    for offset, (_, _, pos, _, lo, hi), (run_key, head, count, _, _) in zip(offsets, parts, runs):
+        dest = np.repeat(to[:head.size] - head, count) + np.arange(pos.size, dtype=np.int32)
+        to = to[head.size:]
+        shift = np.repeat(base.take(run_key) - c0, count)
+        ends[0, dest] = lo + shift
+        ends[1, dest] = hi + 1 + shift
+        keep[dest] = pos + offset
     ends.flags.writeable = keep.flags.writeable = False
-    return _Blocks(ends, keep, tuple(spans), tuple(offsets[1:]))
-
-
-def _by_diagonal(values: np.ndarray, nb: int) -> np.ndarray:
-    """The (rows, nb) matrix M[row, col] = values[row - col + nb - 1], a view."""
-    return np.lib.stride_tricks.sliding_window_view(values, nb)[:, ::-1]
+    return _Windows(ends, keep, tuple((shape, slice(e0, e1), rows) for (shape, rows), e0, e1
+                                      in zip(windows, [0] + stops, stops)), tuple(offsets[1:]))
 
 
 def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     """Set up the O(n^2) collision operator: pair and cell lists, range ends
-    in the block layout and the mho_{s-l} matrices, all over the radius band
-    and with no loop over s."""
+    in the window layout and the mho_{s-l} diagonals, all over the radius
+    band and with no loop over s."""
     n = grid.n_nodes
     c0, c1 = band = _band(kw, grid)
     nb = max(c1 - c0 + 1, 0)
     n_rows = max(2 * nb - 1, 0)
     _check_indices(n, 3 * n_rows * (nb + 1))
-    s = np.arange(2 * c0, 2 * c0 + n_rows)[:, None]
-    x = np.arange(c0, c0 + nb)[None, :]  # a band node: l or i
+    s = np.arange(2 * c0, 2 * c0 + n_rows, dtype=np.int32)[:, None]
+    x = np.arange(c0, c0 + nb, dtype=np.int32)[None, :]  # a band node: l or i
     K = kw.c_q * grid.h ** 2
 
-    m = c0 - nb + 1 + np.arange(n_rows + nb - 1)  # s - x on each diagonal
+    # s - x on each diagonal, from the row's first column on, then nb zeros
+    m = c0 + n_rows - 1 - np.arange(max(n_rows + nb - 1, 0))
     node = (m >= 1) & (m <= n - 1)
-    mho_m = np.where(node, grid.mho[np.clip(m, 0, n - 1)], 0.0)
-    rmho_m = np.where(node, grid.r[np.clip(m, 0, n - 1)], 0.0) * mho_m
-    j = s - x
-    paired = (j >= x) & (j <= c1)
+    mho_d, rmho_d = np.zeros((2, m.size + nb))
+    mho_d[:m.size] = np.where(node, grid.mho[np.clip(m, 0, n - 1)], 0.0)
+    rmho_d[:m.size] = np.where(node, grid.r[np.clip(m, 0, n - 1)], 0.0) * mho_d[:m.size]
 
     # pairs (s, i): the loss at i and j is K mult a_j (a_i (A + C) + g_i B)
     # with l-range sums A over [lo, i] (hi >= i for every pair), B over
     # [i+1, min(j-1, hi)] and C over [max(j, i+1), hi]
-    row, col = np.nonzero(paired)
-    ps, pi = s[row, 0], x[0, col]
-    pj = ps - pi
+    row, col = (a.astype(np.int32) for a in np.nonzero((s - x >= x) & (s - x <= c1)))
+    pi = col + c0
+    pj = row + 2 * c0 - pi
     lo, hi = _l_intervals(pi, pj, n, band)
     hi += lo - 1  # from the count of l to the last l, in place
-    loss = _blocked([(0, row, lo, pi), (1, row, pi + 1, np.minimum(pj - 1, hi)),
-                     (2, row, np.maximum(pj, pi + 1), hi)], c0, nb, n_rows)
+    loss = _windowed([_part(0, row, lo, pi), _part(1, row, pi + 1, np.minimum(pj - 1, hi)),
+                      _part(2, row, np.maximum(pj, pi + 1), hi)], c0, n_rows)
 
     # cells (s, l): the gain at l and m is K (g_l mho_m A + a_l mho_m B +
     # a_l r_m mho_m C) with i-range sums of mult a_i a_j (A, C) and of
     # mult g_i a_j (B); l <= hi(s, i) is i >= q
-    row, col = np.nonzero((x >= s - n + 1) & (x <= s - 1))
-    cs, cl = s[row, 0], x[0, col]
+    row, col = (a.astype(np.int32) for a in np.nonzero((x >= s - n + 1) & (x <= s - 1)))
+    cs, cl = row + 2 * c0, col + c0
     i_min, i_max = np.maximum(c0, cs - c1), cs // 2
     q = -((n - 1 - cl - cs) // 2)
     ranges = [(0, np.maximum(cl, i_min), i_max),
@@ -441,7 +505,8 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
               (0, np.maximum(np.maximum(i_min, cs - cl), q), np.minimum(i_max, cl - 1))]
     keep = np.any([a <= b for _, a, b in ranges], axis=0)
     row, cs, cl = row[keep], cs[keep], cl[keep]
-    gain = _blocked([(plane, row, a[keep], b[keep]) for plane, a, b in ranges], c0, nb, n_rows)
+    gain = _windowed([_part(plane, row, a[keep], b[keep]) for plane, a, b in ranges],
+                     c0, n_rows)
 
     def index(a):
         return np.ascontiguousarray(a, dtype=np.int32)
@@ -449,42 +514,51 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     cm = cs - cl
     op = CollisionOperator(
         grid=grid, kw=kw, band=band, n_entries=int((hi - lo + 1).sum()),
-        mho_sl=_by_diagonal(mho_m, nb), rmho_sl=_by_diagonal(rmho_m, nb),
+        mho_d=mho_d, rmho_d=rmho_d,
         loss=loss, pair_i=index(pi - c0), pair_j=index(pj - c0),
         pair_kmult=np.where(pi < pj, 2.0 * K, K),
         loss_nodes=index(np.concatenate((pi, pj))), gain=gain, cell_l=index(cl - c0),
         cell_kmho=K * grid.mho[cm], cell_krmho=K * grid.r[cm] * grid.mho[cm],
         gain_nodes=index(np.concatenate((cl, cm))),
     )
-    for a in (op.mho_sl, op.rmho_sl, op.pair_i, op.pair_j, op.pair_kmult, op.loss_nodes,
+    for a in (op.mho_d, op.rmho_d, op.pair_i, op.pair_j, op.pair_kmult, op.loss_nodes,
               op.cell_l, op.cell_kmho, op.cell_krmho, op.gain_nodes):
         a.flags.writeable = False
     return op
+
+
+def _prefix_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum2 row prefix sums of nonnegative ``terms`` (Ogita, Rump & Oishi
+    2005): np.cumsum S, and the cumulative sum E of each step's exact error.
+
+    S runs left to right, so each step is t = fl(p + x) with p, x >= 0, and
+    its error is Fast2Sum's min(p, x) - (t - max(p, x)), exact because the
+    larger summand goes first: the same bits as TwoSum, in fewer passes.
+    """
+    S = np.cumsum(terms, axis=-1)
+    E = np.empty_like(S)
+    E[..., 0] = 0.0
+    prev, x, err = S[..., :-1], terms[..., 1:], E[..., 1:]
+    big = np.maximum(prev, x)
+    np.subtract(S[..., 1:], big, out=big)
+    np.minimum(prev, x, out=err)
+    err -= big
+    del big
+    np.cumsum(E, axis=-1, out=E)
+    return S, E
 
 
 def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Sum of terms.flat[a+1 .. b] for each column (a, b) of ``ends``.
 
     ``terms`` is nonnegative, with a zero first column, and every range lies
-    in one row.  The sums are differences of Sum2 row prefix sums (Ogita,
-    Rump & Oishi 2005): np.cumsum S, plus the cumulative sum E of each step's
-    exact TwoSum error.  A range whose a-priori bound u|v| + gamma_k^2 S_b
+    in one row.  The sums are differences of the Sum2 row prefix sums S + E
+    of _prefix_sums.  A range whose a-priori bound u|v| + gamma_k^2 S_b
     (k the row length, S_b the prefix total) exceeds RANGE_RTOL of its value
     v is summed directly from its terms instead.
     """
     k = terms.shape[-1] - 1
-    S = np.cumsum(terms, axis=-1)
-    E = np.empty_like(S)
-    E[..., 0] = 0.0
-    prev, t, err = S[..., :-1], S[..., 1:], E[..., 1:]
-    bb = t - prev
-    np.subtract(t, bb, out=err)
-    np.subtract(prev, err, out=err)
-    np.subtract(terms[..., 1:], bb, out=bb)
-    err += bb
-    del bb
-    np.cumsum(E, axis=-1, out=E)
-    S, E = S.ravel(), E.ravel()
+    S, E = (a.ravel() for a in _prefix_sums(terms))
     start, end = ends
     top = S.take(end)
     v = (top - S.take(start)) + (E.take(end) - E.take(start))
@@ -498,19 +572,21 @@ def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return v
 
 
-def _block_sums(planes, layout: _Blocks) -> list[np.ndarray]:
-    """The range sums of a block layout (see _blocked), one array per part.
+def _window_sums(planes, layout: _Windows) -> list[np.ndarray]:
+    """The range sums of a window layout (see _windowed), one array per part.
 
-    Each of ``planes`` is a function fill(rows, cols, out) that writes the
-    plane's values on a window; a block's windows are filled behind a zero
-    column and summed by _range_sums while they are in cache.
+    Each of ``planes`` is a function fill(rows, terms) that writes the
+    plane's values on the _Rows ``rows`` of the window ``terms``; a window is
+    filled behind a zero column and summed by _range_sums while it is in
+    cache.
     """
     kept = np.empty(layout.keep.size)
-    for plane, r0, r1, w0, w1, e0, e1 in layout.spans:
-        terms = np.empty((r1 - r0, w1 - w0 + 1))
+    for shape, ranges, strips in layout.windows:
+        terms = np.empty(shape)
         terms[:, 0] = 0.0
-        planes[plane](slice(r0, r1), slice(w0, w1), terms[:, 1:])
-        kept[e0:e1] = _range_sums(terms, layout.ends[:, e0:e1])
+        for rows in strips:
+            planes[rows.plane](rows, terms)
+        kept[ranges] = _range_sums(terms, layout.ends[:, ranges])
     out = np.zeros(layout.bounds[-1])
     out[layout.keep] = kept
     return np.split(out, layout.bounds[:-1])
@@ -518,27 +594,29 @@ def _block_sums(planes, layout: _Blocks) -> list[np.ndarray]:
 
 def _planes(op: CollisionOperator, g: np.ndarray):
     """g and a = g / r over the band, and the loss and pair planes at g as
-    fill functions for _block_sums."""
+    fill functions for _window_sums."""
     c0, c1 = op.band
     gb = g[c0:c1 + 1]
     ab = gb / op.grid.r[c0:c1 + 1]
     n_rows, nb = op.mho_sl.shape
-    # 2 a_{s-i}, zero where s - i leaves the band
-    two_a = np.zeros(n_rows + nb - 1)
-    np.multiply(ab, 2.0, out=two_a[nb - 1:2 * nb - 1])
-    aj = _by_diagonal(two_a, nb)
+    # g and a, then 2 a_{s-i} by diagonal, each padded with zeros past a row
+    # that starts at the band's last node
+    g_pad, a_pad, two_a = np.zeros((3, n_rows + 2 * nb))
+    g_pad[:nb], a_pad[:nb] = gb, ab
+    np.multiply(ab[::-1], 2.0, out=two_a[n_rows - nb:n_rows])
 
     def plane(x, by, pairs=False):
-        def fill(rows, cols, out):
-            np.multiply(x[cols], by[rows, cols], out=out)
+        def fill(rows, terms):
+            w = terms.shape[1] - 1
+            np.multiply(_row_views(x, w)[rows.first], _row_views(by, w)[rows.diagonal],
+                        out=terms[rows.rows, 1:])
             if pairs:  # a pair i = j, in row 2 i, counts once
-                i = np.arange(max(cols.start, (rows.start + 1) // 2),
-                              min(cols.stop, (rows.stop + 1) // 2))
-                out[2 * i - rows.start, i - cols.start] *= 0.5
+                terms.ravel()[rows.half] *= 0.5
         return fill
 
-    return gb, ab, ([plane(gb, op.mho_sl), plane(ab, op.mho_sl), plane(ab, op.rmho_sl)],
-                    [plane(ab, aj, True), plane(gb, aj, True)])
+    return gb, ab, ([plane(g_pad, op.mho_d), plane(a_pad, op.mho_d),
+                     plane(a_pad, op.rmho_d)],
+                    [plane(a_pad, two_a, True), plane(g_pad, two_a, True)])
 
 
 def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
@@ -546,11 +624,11 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     if not op.n_entries:  # a band with no node
         return np.zeros(op.grid.n_nodes)
     gb, ab, (loss_planes, pair_planes) = _planes(op, g)
-    A, B, C = _block_sums(loss_planes, op.loss)
+    A, B, C = _window_sums(loss_planes, op.loss)
     ai = ab.take(op.pair_i)
     loss = op.pair_kmult * ab.take(op.pair_j) * (ai * (A + C) + gb.take(op.pair_i) * B)
 
-    A, B, C = _block_sums(pair_planes, op.gain)
+    A, B, C = _window_sums(pair_planes, op.gain)
     al = ab.take(op.cell_l)
     gain = op.cell_kmho * (gb.take(op.cell_l) * A + al * B) + op.cell_krmho * al * C
 
@@ -576,9 +654,10 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
     n_rows, nb = op.mho_sl.shape
     _check_indices(n, 5 * n_rows * (nb + 1))
     T = max(c1 - 1, 0)  # t = 1 .. T
-    row, t = np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c1 + 1)[:, None])
+    row, t = (a.astype(np.int32) for a in
+              np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c1 + 1)[:, None]))
     t += 1
-    x_row, x = np.divmod(np.arange(n_rows * nb), nb)
+    x_row, x = np.divmod(np.arange(n_rows * nb, dtype=np.int32), nb)
     x += c0
     s, xs = row + 2 * c0, x_row + 2 * c0
     E, xE = n - 1 - s, n - 1 - xs
@@ -587,10 +666,10 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
         s = row + 2 * c0
         lo = np.maximum(np.maximum(lo, c0), s - c1 if pairs else s - n + 1)
         hi = np.minimum(np.minimum(hi, c1), s // 2 if pairs else s - 1)
-        return plane, row, lo, hi
+        return _part(plane, row, lo, hi)
 
     def index(*parts):
-        return _blocked(parts, c0, nb, n_rows)
+        return _windowed(parts, c0, n_rows)
 
     # B covers t while min(l, m) > t, i.e. l <= cap; pairs up to last have
     # e_i <= cap; sig is B's anchor pair (t where E + t < 1, which empties
@@ -606,8 +685,7 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
     # SP at t+1 and per l at iota, B's capped and anchored P ranges; z per l;
     # then the ranges of z, v and w (see _region_masses)
     return SimpleNamespace(
-        t=t.astype(np.int32), delta_hi=cap.astype(np.int32), shape=(n_rows, T),
-        flat=(row * T + t - 1).astype(np.int32),
+        t=t, delta_hi=cap, shape=(n_rows, T), flat=row * T + t - 1,
         loss=index(ends(0, row, c0, t, False), ends(2, row, s - t, E + 2 * t + 2, False),
                    ends(1, row, t + 1, cap, False), ends(1, row, t + 1, top, False),
                    ends(1, x_row, w_lo, xE + 2 * x, False)),
@@ -641,25 +719,26 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
     every y in (T, min(2X, Y)], and beyond 2X up to Y where 2x > Y, else up
     to 2x: w = P_x (b over 2X < y <= 2x).  X is the same for every T in
     [X, 2X), so z and w are one array per row.  Every sum is of nonnegative
-    terms over a range of a row, and goes through _range_sums block by
-    block, on the operator's planes through windows of its own.
+    terms over a range of a row, and goes through _range_sums window by
+    window, on the operator's planes through windows of its own.
     """
     c = op.production_cells
-    n_rows, nb = op.mho_sl.shape
+    nb = op.mho_sl.shape[1]
     _, _, (loss, pairs) = _planes(op, g)
-    pre, q, b_cap, b_top, w = _block_sums(loss, c.loss)
-    sp, sp_iota, p_cap, p_top, z = _block_sums(pairs, c.pairs)
+    pre, q, b_cap, b_top, w = _window_sums(loss, c.loss)
+    sp, sp_iota, p_cap, p_top, z = _window_sums(pairs, c.pairs)
 
-    def times(fill, factor):  # the plane times a value per node
-        factor = factor.reshape(n_rows, nb)
+    def times(fill, factor):  # the plane times a value per node (s, x)
+        factor = np.concatenate((factor, np.zeros(nb)))  # padded past the last row
 
-        def scaled(rows, cols, out):
-            fill(rows, cols, out)
-            out *= factor[rows, cols]
+        def scaled(rows, terms):
+            fill(rows, terms)
+            factors = _row_views(factor, terms.shape[1] - 1)
+            terms[rows.rows, 1:] *= factors[rows.row * nb + rows.first]
         return scaled
 
-    z, v, w = _block_sums([times(loss[1], z), times(loss[2], sp_iota), times(pairs[1], w)],
-                          c.zvw)
+    z, v, w = _window_sums([times(loss[1], z), times(loss[2], sp_iota), times(pairs[1], w)],
+                           c.zvw)
     kh = op.kw.c_q * op.grid.h ** 3
     return kh * (sp * (pre + q) + v), kh * (z + p_cap * b_cap + p_top * b_top + w)
 

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deposit_scale, production, random_state, table_production, table_rhs
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
@@ -330,9 +332,8 @@ class TestCollisionOperator:
         for cells in (1, 2 * n_nodes * n_nodes):
             monkeypatch.setattr(solver, "BLOCK_CELLS", cells)
             ops.append(build_operator(kw, grid))
-        n_rows = ops[0].mho_sl.shape[0]
-        assert {span[2] - span[1] for span in ops[0].loss.spans} == {1}
-        assert {span[1:3] for span in ops[1].gain.spans} == {(0, n_rows)}
+        assert {shape[0] for shape, _, _ in ops[0].loss.windows} == {1}
+        assert len(ops[1].gain.windows) == 1
         phis = registry(["low_pass:2.0", "quadratic", "band_cap:0.4"])
         weights = [production_weights(op, phis) for op in ops]
         rng = np.random.default_rng(1)
@@ -353,6 +354,21 @@ class TestCollisionOperator:
                 want, want_scale, floor = table_production(table, g, phi(grid.omega))
                 for p in (p1, p2):
                     assert abs(p - want) <= 1e-12 * want_scale + floor, name
+
+    def test_first_production_build_at_512_nodes(self, d_quad):
+        # building every part's clipped ranges in int64 before compacting any
+        # peaked at 124.6 MiB above the operator; int32 parts, compacted one
+        # at a time and placed run by run, peak at 64.2 MiB
+        grid = OmegaGrid(d_quad, 512, 8.0)
+        op = build_operator(KernelWeights(), grid)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            production_weights(op, registry(["low_pass:2.0"]))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80.0 * 2 ** 20
 
     def test_working_set_at_512_nodes(self, d_quad):
         # with whole planes, one call peaked at 62.8 MiB and one production
@@ -398,6 +414,76 @@ class TestCollisionOperator:
         total = float(np.sum(np.abs(out)))
         assert abs(float(np.sum(out))) <= 1e-12 * total
         assert abs(float(np.sum(out * grid.omega))) <= 1e-12 * total * grid.omega_max
+
+
+def _check_layout(layout, plane_row=None):
+    """The window invariants of a layout: every (plane, row) in one window,
+    every range inside its row's stored extent, and every window within
+    BLOCK_CELLS cells or of one row.  ``plane_row``, where given, is the
+    (plane, row) each output position's range must sit in."""
+    seen, n_ranges = set(), 0
+    for (n_held, width), ranges, strips in layout.windows:
+        assert n_held * width <= solver.BLOCK_CELLS or n_held == 1
+        held = np.full((n_held, 2), -1)
+        for rows in strips:
+            assert np.all(held[rows.rows] == -1)
+            held[rows.rows] = np.column_stack([np.full(rows.row.size, rows.plane), rows.row])
+        keys = {tuple(key) for key in held.tolist()}
+        assert len(keys) == n_held and -1 not in held and not keys & seen
+        seen |= keys
+        assert ranges.start == n_ranges
+        n_ranges = ranges.stop
+        start, end = layout.ends[:, ranges]
+        k = start // width  # the window row of each range; its column 0 is the zero
+        assert np.all(end > start) and np.all(end <= k * width + width - 1)
+        if plane_row is not None:
+            assert np.array_equal(held[k], plane_row[layout.keep[ranges]])
+    assert n_ranges == layout.keep.size == np.unique(layout.keep).size
+    assert np.all(layout.keep < layout.bounds[-1])
+
+
+@pytest.mark.parametrize("n_nodes", [24, 64, 128])
+@pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+def test_window_layouts(alpha, cutoff_n, n_nodes):
+    grid = OmegaGrid(DispersionRelation.power_law(alpha), n_nodes, 8.0)
+    op = build_operator(KernelWeights(cutoff_n=cutoff_n), grid)
+    c0 = op.band[0]
+    # loss: parts A, B, C of each pair on loss planes 0, 1, 2 in row s - 2 c0;
+    # gain: parts A, B, C of each cell on pair planes 0, 1, 0
+    pair_row = op.pair_i + op.pair_j
+    cell_row = op.gain_nodes[:op.cell_l.size] + op.gain_nodes[op.cell_l.size:] - 2 * c0
+    for layout, rows, planes in ((op.loss, pair_row, (0, 1, 2)), (op.gain, cell_row, (0, 1, 0))):
+        plane_row = np.concatenate([np.column_stack([np.full(rows.size, p), rows])
+                                    for p in planes])
+        _check_layout(layout, plane_row)
+    cells = op.production_cells
+    for layout in (cells.loss, cells.pairs, cells.zvw):
+        _check_layout(layout)
+
+
+def _twosum_errors(terms):
+    """Each step's error of np.cumsum along rows by Knuth's TwoSum, summed
+    cumulatively: the classic form of _prefix_sums' E."""
+    S = np.cumsum(terms, axis=-1)
+    prev, t, x = S[:, :-1], S[:, 1:], terms[:, 1:]
+    bb = t - prev
+    err = (prev - (t - bb)) + (x - bb)
+    return np.cumsum(np.concatenate([np.zeros((len(terms), 1)), err], axis=1), axis=-1)
+
+
+_TERM = st.one_of(st.just(0.0), st.floats(0.0, 2.0 ** -1022, exclude_max=True),
+                  st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda k: st.lists(st.lists(_TERM, min_size=k, max_size=k), min_size=1, max_size=4)))
+def test_fast2sum_errors_equal_twosum_errors(rows):
+    terms = np.abs(np.array([[0.0] + row for row in rows]))
+    S, E = solver._prefix_sums(terms)
+    assert np.array_equal(S, np.cumsum(terms, axis=-1))
+    assert np.array_equal(E.view(np.int64), _twosum_errors(terms).view(np.int64))
 
 
 class TestRhs:
