@@ -211,9 +211,13 @@ def eval_mho(d: DispersionRelation, r: np.ndarray) -> float:
     the limit 0 whenever iota > 0; with iota = 0 the limit need not exist and
     r = 0 is rejected.
     """
-    if np.any(r == 0.0) and d.iota <= 0.0:
+    # a 0-d radius is checked as a float, and computed on the 0-d array
+    zero = float(r) == 0.0 if r.ndim == 0 else bool(np.any(r == 0.0))
+    if zero and d.iota <= 0.0:
         raise ValueError("mho(0) undefined when iota = 0")
     if d.kind == "power_law":
+        if r.ndim == 0 and not zero:
+            return r ** (2.0 - d.alpha) / d.alpha
         return np.where(r == 0.0, 0.0, r ** (2.0 - d.alpha) / d.alpha)
 
     def one(x: float) -> float:

@@ -28,6 +28,11 @@ built whole.  Each row is stored from the first column its ranges reach to
 the last, and rows of similar length, of any plane, share a window that is
 filled, prefix-summed and read while it is in cache.  A prefix sum then
 starts at its row's first reached column, so its prefix total only shrinks.
+Nor is any range stored: along a row its ends and its pair or cell are
+affine between the few points where the terms that bound them cross, so a
+layout keeps O(n) affine pieces, found from those crossings with O(n)
+work, and a call lists a batch of ranges at a time and adds their sums
+straight into n-long gains and losses.
 
 Convex production reuses the same planes and range sums (_region_masses).
 The O(n^3) KernelTable (build_kernel_table) lists the interactions one by
@@ -279,7 +284,7 @@ BLOCK_CELLS = 2 ** 14
 
 
 class _Rows(NamedTuple):
-    """The rows of one plane in a window (see _windowed)."""
+    """The rows of one plane in a window (see _layout)."""
 
     plane: int
     rows: slice           # where they sit in the window
@@ -289,13 +294,32 @@ class _Rows(NamedTuple):
     half: np.ndarray      # where each cell i = j (row 2 i, column i) is in the window
 
 
-class _Windows(NamedTuple):
-    """One row-window layout of range sums (see _windowed) and where they go."""
+class _Pieces(NamedTuple):
+    """A batch of a window's ranges as affine pieces (see _lines), listed by
+    _generate."""
 
-    ends: np.ndarray  # int32 (start, end) prefix positions of each nonempty range
-    keep: np.ndarray  # int32 output position of each nonempty range
-    windows: tuple    # per window: its shape, its ranges (a slice) and its _Rows
-    bounds: tuple     # where each part ends in the output; an empty range sums to 0
+    count: np.ndarray  # ranges per piece
+    lines: np.ndarray  # int32: the step along a piece of each column without a
+    #                    layout step, then each column's value at the batch's
+    #                    range 0 on the piece's line
+    size: int          # ranges in the batch
+
+
+class _Window(NamedTuple):
+    """One window: its shape (rows held, width + 1), its _Rows and its
+    pieces, in batches of about _BATCH ranges."""
+
+    shape: tuple
+    rows: tuple
+    batches: tuple  # of _Pieces
+
+
+class _Windows(NamedTuple):
+    """One row-window layout of range sums (see _layout)."""
+
+    windows: tuple     # of _Window
+    bounds: tuple      # where each part ends in the output of _part_sums
+    steps: np.ndarray  # int32: the steps of the last outputs along every piece
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,17 +347,23 @@ class CollisionOperator:
     column any of its ranges reaches to the last, and a window is a set of
     such rows, of any of the planes, behind a zero column: rows of similar
     length share a window of at most BLOCK_CELLS cells (or hold one of
-    their own).  An evaluation fills one window at a time and takes its
-    ranges' sums while it is in cache, so its working set is one window,
-    not the (2n x n) planes.  ``loss`` and ``gain`` are the window layouts
-    of the A, B and C ranges of every pair and of every cell, set up once
-    (see _windowed).  A range is still the difference of two Sum2 prefix
-    sums along one row of nonnegative terms, now of a row that starts at
-    its own first reached column, so its prefix total can only shrink; the
-    row length in the a-priori bound of _range_sums is the window's width,
-    at most the band's.  So RANGE_RTOL certifies each range, or sends it to
-    direct summation, as before.  Node indices ``pair_*`` and ``cell_l``
-    are relative to c0; ``loss_nodes`` and ``gain_nodes`` are absolute.
+    their own).  ``loss`` and ``gain`` are the window layouts of the A, B
+    and C ranges of every pair and of every cell (see _layout).  No range
+    is stored either: along a row, a range's ends and its pair or cell step
+    by constants except at a few places, so a window keeps affine pieces
+    (see _lines).  An evaluation fills a window, lists its ranges a batch
+    at a time (_generate), takes their sums while it is in cache and adds
+    them into n-long gains and losses, so its working set is one window,
+    of cells and of ranges, and the stored state is O(n).  A range is
+    still the difference of two Sum2 prefix sums along one row of
+    nonnegative terms, of a row that starts at its own first reached
+    column, so its prefix total can only shrink; the row length in the
+    a-priori bound of _range_sums is the window's width, at most the
+    band's.  So RANGE_RTOL certifies each range, or sends it to direct
+    summation, as before.  A loss range's outputs are the codes i + n part
+    (plus 3n where i = j) and j, a gain range's l + n part and m + n part,
+    with part 0, 1, 2 for A, B, C: one take by each code finds the range's
+    factors (see _rhs_of_g).
     """
 
     grid: OmegaGrid
@@ -344,15 +374,7 @@ class CollisionOperator:
     mho_d: np.ndarray = field(repr=False)   # mho_{s-l}, 0 where s-l is no node
     rmho_d: np.ndarray = field(repr=False)  # r_{s-l} mho_{s-l}
     loss: _Windows = field(repr=False)
-    pair_i: np.ndarray = field(repr=False)
-    pair_j: np.ndarray = field(repr=False)
-    pair_kmult: np.ndarray = field(repr=False)  # K * mult
-    loss_nodes: np.ndarray = field(repr=False)  # i then j of every pair
     gain: _Windows = field(repr=False)
-    cell_l: np.ndarray = field(repr=False)
-    cell_kmho: np.ndarray = field(repr=False)   # K mho_m
-    cell_krmho: np.ndarray = field(repr=False)  # K r_m mho_m
-    gain_nodes: np.ndarray = field(repr=False)  # l then m of every cell
 
     @property
     def mho_sl(self) -> np.ndarray:
@@ -380,100 +402,153 @@ def _row_views(values: np.ndarray, width: int) -> np.ndarray:
                       values.strides * 2)
 
 
-def _part(plane: int, row, lo, hi) -> tuple:
-    """One part of a layout: the node ranges [lo, hi] of rows of a plane.
+#: Ranges per batch of a window: a batch's ranges are listed, summed and
+#: added up at once, in a core's cache.
+_BATCH = 2 ** 13
+def _layout(pieces: list, c0: int, n_rows: int, bounds: tuple, steps: tuple) -> _Windows:
+    """The window layout of CollisionOperator for ``pieces`` (of _lines,
+    all cut with ``steps``).
 
-    Returns the part's size and its nonempty ranges, each with its position
-    in the part, all int32, so a builder can drop a part's temporaries
-    before it makes the next.
+    Each (plane, row) is stored from the first column its ranges reach to
+    the last.  The rows are sorted by that length, longest first (a stable
+    sort, so a rerun gives the same layout), and cut into windows of at
+    most BLOCK_CELLS cells or of one row; inside a window they go plane by
+    plane and row by row, so each plane's rows are filled at once.  A
+    piece's lo and hi become (start, end) prefix positions in its window.
+    A window keeps its pieces part by part and row by row, so the layout
+    does not depend on the blocks the set-up cut, in batches of about
+    _BATCH ranges.  ``bounds`` are where each part ends in the output.  The
+    layout's arrays are read-only.
     """
-    row, lo, hi = np.broadcast_arrays(row, lo, hi)
-    k = np.flatnonzero(lo <= hi)
-    return (plane, lo.size, k.astype(np.int32),
-            *(a.take(k).astype(np.int32, copy=False) for a in (row, lo, hi)))
-
-
-def _windowed(parts, c0: int, n_rows: int) -> _Windows:
-    """The window layout of CollisionOperator for the ranges of ``parts``.
-
-    ``parts`` lists _part results, one after another in output order;
-    ``bounds`` are where each part ends.  Each (plane, row) is stored from
-    the first column its ranges reach to the last.  The rows are sorted by
-    that length, longest first (a stable sort, so a rerun gives the same
-    layout), and cut into windows of at most BLOCK_CELLS cells or of one
-    row; inside a window they go plane by plane and row by row, so each
-    plane's rows are filled at once.  ``ends`` are the (start, end) prefix
-    positions of the nonempty ranges in their window, window after window,
-    and a part's ranges are placed run by run (a run is ranges in one row),
-    with no sort over the ranges.  The layout's arrays are read-only.
-    """
-    offsets = np.cumsum([0] + [part[1] for part in parts]).tolist()
-    runs = []  # per part: each run's key (plane, row), head, size, first and last column
-    for plane, _, _, row, lo, hi in parts:
-        head = np.flatnonzero(np.diff(row, prepend=-1))
-        runs.append((row[head] + plane * n_rows, head, np.diff(head, append=row.size),
-                     np.minimum.reduceat(lo, head) - c0, np.maximum.reduceat(hi, head) - c0))
-    key, _, size, low, high = (np.concatenate(a) for a in zip(*runs))
-    n_keys = n_rows * (1 + max(part[0] for part in parts))
-    first = np.full(n_keys, n_rows + 1, np.int32)
-    np.minimum.at(first, key, low)
-    width = np.full(n_keys, -n_rows, np.int32)
-    np.maximum.at(width, key, high)
-    width -= first - 1
+    steps = np.array(steps, np.int32)
+    steps.flags.writeable = False
+    part, plane, row, count, first, slope = (np.concatenate(a, axis=-1) for a in zip(*pieces))
+    if not count.size:
+        return _Windows((), bounds, steps)
+    last = first[:2] + slope[:2] * (count - 1)
+    key = plane * n_rows + row
+    n_keys = n_rows * (1 + int(plane.max(initial=0)))
+    lead = np.full(n_keys, n_rows + 1)  # each (plane, row)'s first stored column
+    np.minimum.at(lead, key, np.minimum(first[0], last[0]) - c0)
+    width = np.full(n_keys, -n_rows)
+    np.maximum.at(width, key, np.maximum(first[1], last[1]) - c0)
+    width -= lead - 1
     held = np.flatnonzero(width > 0)
     held = held[np.argsort(-width[held], kind="stable")]  # longest row first
 
-    windows, window, base = [], np.zeros(n_keys, np.int32), np.zeros(n_keys, np.int32)
-    start = 0
-    while start < held.size:
-        w = int(width[held[start]])
-        keys = np.sort(held[start:start + max(1, BLOCK_CELLS // (w + 1))])
-        start += keys.size
-        window[keys] = len(windows)
-        base[keys] = np.arange(keys.size) * (w + 1) - first[keys]
-        plane, row = np.divmod(keys, n_rows)
-        cuts = np.flatnonzero(np.diff(plane, prepend=-1, append=-1))
-        rows = []
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            f, r = first[keys[a:b]].astype(np.intp), row[a:b]
-            i = np.flatnonzero((r % 2 == 0) & (r // 2 >= f) & (r // 2 < f + w))
-            rows.append(_Rows(int(plane[a]), slice(a, b), r, f, n_rows - 1 - r + f,
-                              (a + i) * (w + 1) + 1 + r[i] // 2 - f[i]))
-        windows.append(((keys.size, w + 1), tuple(rows)))
+    # windows: runs of the held rows of at most BLOCK_CELLS cells or one
+    # row, each as wide as its first; inside one, plane by plane, row by row
+    widths, starts = width[held].tolist(), [0]
+    while starts[-1] < held.size:
+        starts.append(starts[-1] + max(1, BLOCK_CELLS // (widths[starts[-1]] + 1)))
+    starts[-1] = held.size
+    shapes = [(b - a, widths[a] + 1) for a, b in zip(starts, starts[1:])]
+    at = np.repeat(np.arange(len(shapes)), np.diff(starts))  # each held row's window
+    w = width[held[starts[:-1]]][at]
+    keys = held[np.lexsort((held, at))]
+    place = np.arange(keys.size) - np.asarray(starts[:-1])[at]  # where in its window
+    window, base = np.zeros(n_keys, np.intp), np.zeros(n_keys, np.intp)
+    window[keys], base[keys] = at, place * (w + 1) - lead[keys]
+    on, r = np.divmod(keys, n_rows)
+    f = lead[keys]
+    # where each pair cell i = j (row 2i, column i) sits in its window
+    i = np.flatnonzero((r % 2 == 0) & (r // 2 >= f) & (r // 2 < f + w))
+    half = place[i] * (w[i] + 1) + 1 + r[i] // 2 - f[i]
+    cuts = np.flatnonzero(np.diff(on, prepend=-1) | np.diff(at, prepend=-1)).tolist()
+    rows = [[] for _ in shapes]
+    for a, b, h in zip(cuts, cuts[1:] + [keys.size], np.split(half, np.searchsorted(i, cuts[1:]))):
+        rows[at[a]].append(_Rows(int(on[a]), slice(place[a], place[b - 1] + 1), r[a:b], f[a:b],
+                                 n_rows - 1 - r[a:b] + f[a:b], h))
 
-    # the runs window by window, and in each window part by part: where each
-    # run's ranges go
-    at = window.take(key)
-    order = np.argsort(at, kind="stable")
-    to = np.empty(key.size, np.int32)
-    to[order] = np.cumsum(size[order]) - size[order]
-    stops = np.cumsum(np.bincount(at, size, len(windows))).astype(int).tolist()
-    ends = np.empty((2, int(size.sum())), np.int32)
-    keep = np.empty(ends.shape[1], np.int32)
-    for offset, (_, _, pos, _, lo, hi), (run_key, head, count, _, _) in zip(offsets, parts, runs):
-        dest = np.repeat(to[:head.size] - head, count) + np.arange(pos.size, dtype=np.int32)
-        to = to[head.size:]
-        shift = np.repeat(base.take(run_key) - c0, count)
-        ends[0, dest] = lo + shift
-        ends[1, dest] = hi + 1 + shift
-        keep[dest] = pos + offset
-    ends.flags.writeable = keep.flags.writeable = False
-    return _Windows(ends, keep, tuple((shape, slice(e0, e1), rows) for (shape, rows), e0, e1
-                                      in zip(windows, [0] + stops, stops)), tuple(offsets[1:]))
+    # each piece's ends as prefix positions in its window, then the pieces
+    # window by window, part by part and row by row, in batches
+    shift = base.take(key) - c0
+    first[0] += shift
+    first[1] += shift + 1
+    order = np.lexsort((row, part, window.take(key)))
+    at, count = window.take(key[order]), count[order]
+    first, slope = first[:, order], slope[:, order]
+    before = np.cumsum(count) - count
+    before -= before[np.searchsorted(at, at)]  # ranges before it in its window
+    new = np.flatnonzero((np.diff(at) != 0) | (np.diff(before // _BATCH) != 0)) + 1
+    heads = np.concatenate(([0], new))
+    before -= np.repeat(before[heads], np.diff(np.append(heads, at.size)))  # and in its batch
+    g = first.shape[0] - steps.size  # the columns with a step per piece
+    lines = np.concatenate((slope[:g], first[:g] - slope[:g] * before,
+                            first[g:] - steps[:, None] * before)).astype(np.int32)
+    count.flags.writeable = lines.flags.writeable = False
+    batches = [[] for _ in shapes]
+    for h, n_k, lines_k in zip(heads.tolist(), np.split(count, new), np.split(lines, new, axis=1)):
+        batches[at[h]].append(_Pieces(n_k, lines_k, int(n_k.sum())))
+    return _Windows(tuple(_Window(*window) for window in zip(shapes, map(tuple, rows),
+                                                             map(tuple, batches))), bounds, steps)
+
+
+def _lines(part: int, plane: int, row, s, first, last, step: int, lo: list, hi: list,
+           outs: list, cuts) -> tuple:
+    """The pieces of one part of a layout: its node ranges [max of ``lo``,
+    min of ``hi``] at x = first, first + step, ..., last of each row s, with
+    ``outs``, in _layout's form, with no per-range array.
+
+    ``lo``, ``hi`` and ``outs`` are functions f(s, x), each affine in x (by
+    step) between the points ``cuts`` ((points, rows) values of x).  Where
+    none of them bends, a range keeps its bounding functions, and is empty
+    or not, until two of them cross.  So the pieces are the stretches
+    between those points, joined where one continues another's line.
+    """
+    def at(s, x, fns):
+        return [v if np.ndim(v) else np.full_like(x, v) for v in (f(s, x) for f in fns)]
+
+    def bounds(s, x):
+        return [functools.reduce(np.maximum, at(s, x, lo)),
+                functools.reduce(np.minimum, at(s, x, hi)), *at(s, x, outs)]
+
+    def stretches(width, points):
+        """(owner, start, count) of the stretches of 0 .. width - 1 of each
+        owner between ``points`` (points, owners), owner by owner."""
+        cut = np.column_stack((0 * width, points.T, width))
+        cut = np.sort(np.clip(cut, 0, width[:, None]), axis=1)
+        k, j = np.nonzero(cut[:, 1:] > cut[:, :-1])
+        return k, cut[k, j], cut[k, j + 1] - cut[k, j]
+
+    # the stretches on which every function is affine
+    width = np.maximum((last - first) // step + 1, 0)
+    k, u, count = stretches(width, -((first - cuts) // step))
+    x, s = first[k] + step * u, s[k]
+    # where two bounding functions cross on each of them
+    values = np.stack(at(s, x, lo + hi))
+    steps = np.stack(at(s, x + step, lo + hi)) - values
+    i, j = np.triu_indices(len(values), 1)
+    den = steps[i] - steps[j]
+    live = np.flatnonzero(np.any(den != 0, axis=1))  # pairs that can cross
+    i, j, den = i[live], j[live], den[live]
+    num, den = (values[j] - values[i]) * np.sign(den), np.abs(den)
+    one = np.maximum(den, 1)
+    cross = np.where(den > 0, [-(-num // one), num // one + 1], count)
+    k2, u, count = stretches(count, cross.reshape(2 * i.size, count.size))
+    k, x, s = k[k2], x[k2] + step * u, s[k2]
+
+    first, slope = np.stack(bounds(s, x)), np.stack(bounds(s, x + step))
+    slope -= first
+    keep = np.flatnonzero(first[0] <= first[1])
+    k, count, first, slope = k[keep], count[keep], first[:, keep], slope[:, keep]
+    joins = ((k[1:] == k[:-1]) & np.all(slope[:, 1:] == slope[:, :-1], axis=0)
+             & np.all(first[:, 1:] == first[:, :-1] + slope[:, :-1] * count[:-1], axis=0))
+    heads = np.flatnonzero(np.concatenate(([True], ~joins))[:k.size])
+    count = np.add.reduceat(count, heads) if heads.size else count
+    return (np.full(heads.size, part), np.full(heads.size, plane), row[k[heads]], count,
+            first[:, heads], slope[:, heads])
 
 
 def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
-    """Set up the O(n^2) collision operator: pair and cell lists, range ends
-    in the window layout and the mho_{s-l} diagonals, all over the radius
-    band and with no loop over s."""
+    """Set up the O(n^2) collision operator in O(n) work and stored state:
+    the pieces of its pair and cell ranges in the window layout and the
+    mho_{s-l} diagonals, all over the radius band."""
     n = grid.n_nodes
     c0, c1 = band = _band(kw, grid)
     nb = max(c1 - c0 + 1, 0)
     n_rows = max(2 * nb - 1, 0)
     _check_indices(n, 3 * n_rows * (nb + 1))
-    s = np.arange(2 * c0, 2 * c0 + n_rows, dtype=np.int32)[:, None]
-    x = np.arange(c0, c0 + nb, dtype=np.int32)[None, :]  # a band node: l or i
-    K = kw.c_q * grid.h ** 2
 
     # s - x on each diagonal, from the row's first column on, then nb zeros
     m = c0 + n_rows - 1 - np.arange(max(n_rows + nb - 1, 0))
@@ -482,48 +557,53 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     mho_d[:m.size] = np.where(node, grid.mho[np.clip(m, 0, n - 1)], 0.0)
     rmho_d[:m.size] = np.where(node, grid.r[np.clip(m, 0, n - 1)], 0.0) * mho_d[:m.size]
 
-    # pairs (s, i): the loss at i and j is K mult a_j (a_i (A + C) + g_i B)
-    # with l-range sums A over [lo, i] (hi >= i for every pair), B over
-    # [i+1, min(j-1, hi)] and C over [max(j, i+1), hi]
-    row, col = (a.astype(np.int32) for a in np.nonzero((s - x >= x) & (s - x <= c1)))
-    pi = col + c0
-    pj = row + 2 * c0 - pi
-    lo, hi = _l_intervals(pi, pj, n, band)
-    hi += lo - 1  # from the count of l to the last l, in place
-    loss = _windowed([_part(0, row, lo, pi), _part(1, row, pi + 1, np.minimum(pj - 1, hi)),
-                      _part(2, row, np.maximum(pj, pi + 1), hi)], c0, n_rows)
+    # pairs (s, i), max(c0, s - c1) <= i <= s // 2: the loss at i and j is
+    # 2K a_j (a_i A + g_i B + a_i C), halved where i = j, with l-range sums
+    # A over [lo, i] (hi >= i for every pair), B over [i+1, min(j-1, hi)]
+    # and C over [max(j, i+1), hi], where lo = max(s - n + 1, c0) and hi =
+    # min(s - 1, n - 1 - s + 2i, c1) (see _l_intervals); a pair's codes are
+    # i + n part (+ 3n where i = j) and j
+    row = np.arange(n_rows)
+    s = row + 2 * c0
+    hi_l = [lambda s, i: s - 1, lambda s, i: n - 1 - s + 2 * i, lambda s, i: c1]
+    codes = [lambda s, i, part=part: np.where(2 * i < s, i, i + 3 * n) + part * n
+             for part in range(3)]
+    loss = [_lines(part, part, row, s, np.maximum(c0, s - c1), s // 2, 1, lo, hi,
+                   [codes[part], lambda s, i: s - i], (s // 2)[None])
+            for part, lo, hi in (
+                (0, [lambda s, i: s - n + 1, lambda s, i: c0], [lambda s, i: i]),
+                (1, [lambda s, i: i + 1], [lambda s, i: s - i - 1, *hi_l]),
+                (2, [lambda s, i: s - i, lambda s, i: i + 1], hi_l))]
 
-    # cells (s, l): the gain at l and m is K (g_l mho_m A + a_l mho_m B +
-    # a_l r_m mho_m C) with i-range sums of mult a_i a_j (A, C) and of
-    # mult g_i a_j (B); l <= hi(s, i) is i >= q
-    row, col = (a.astype(np.int32) for a in np.nonzero((x >= s - n + 1) & (x <= s - 1)))
-    cs, cl = row + 2 * c0, col + c0
-    i_min, i_max = np.maximum(c0, cs - c1), cs // 2
-    q = -((n - 1 - cl - cs) // 2)
-    ranges = [(0, np.maximum(cl, i_min), i_max),
-              (1, np.maximum(i_min, q), np.minimum(np.minimum(i_max, cl - 1), cs - cl - 1)),
-              (0, np.maximum(np.maximum(i_min, cs - cl), q), np.minimum(i_max, cl - 1))]
-    keep = np.any([a <= b for _, a, b in ranges], axis=0)
-    row, cs, cl = row[keep], cs[keep], cl[keep]
-    gain = _windowed([_part(plane, row, a[keep], b[keep]) for plane, a, b in ranges],
-                     c0, n_rows)
+    # cells (s, l), l by 2: the gain at l and m = s - l is K (g_l mho_m A +
+    # a_l mho_m B + a_l r_m mho_m C) with i-range sums of mult a_i a_j (A,
+    # C) and of mult g_i a_j (B) from max(c0, s - c1) to s // 2; l <=
+    # hi(s, i) is i >= q; a cell's codes are l + n part and m + n part
+    row, s = np.repeat(row, 2), np.repeat(s, 2)
+    first = np.maximum(c0, s - n + 1)
+    first += (c0 + np.tile([0, 1], n_rows) - first) % 2  # each parity
+    i_min = [lambda s, l: c0, lambda s, l: s - c1]
 
-    def index(a):
-        return np.ascontiguousarray(a, dtype=np.int32)
+    def q(s, l):
+        return -((n - 1 - l - s) // 2)
 
-    cm = cs - cl
-    op = CollisionOperator(
-        grid=grid, kw=kw, band=band, n_entries=int((hi - lo + 1).sum()),
-        mho_d=mho_d, rmho_d=rmho_d,
-        loss=loss, pair_i=index(pi - c0), pair_j=index(pj - c0),
-        pair_kmult=np.where(pi < pj, 2.0 * K, K),
-        loss_nodes=index(np.concatenate((pi, pj))), gain=gain, cell_l=index(cl - c0),
-        cell_kmho=K * grid.mho[cm], cell_krmho=K * grid.r[cm] * grid.mho[cm],
-        gain_nodes=index(np.concatenate((cl, cm))),
-    )
-    for a in (op.mho_d, op.rmho_d, op.pair_i, op.pair_j, op.pair_kmult, op.loss_nodes,
-              op.cell_l, op.cell_kmho, op.cell_krmho, op.gain_nodes):
-        a.flags.writeable = False
+    gain = [_lines(part, plane, row, s, first, np.minimum(c1, s - 1), 2, lo, hi,
+                   [lambda s, l, part=part: l + part * n,
+                    lambda s, l, part=part: s - l + part * n], np.empty((0, s.size), int))
+            for part, plane, lo, hi in (
+                (0, 0, [lambda s, l: l, *i_min], [lambda s, l: s // 2]),
+                (1, 1, [*i_min, q], [lambda s, l: s // 2, lambda s, l: l - 1,
+                                     lambda s, l: s - l - 1]),
+                (2, 0, [*i_min, lambda s, l: s - l, q], [lambda s, l: s // 2,
+                                                         lambda s, l: l - 1]))]
+
+    # a pair's loss ranges cover its admissible l once
+    n_entries = sum(int(np.sum(k * (f[1] - f[0] + 1) + (k * (k - 1) // 2) * (d[1] - d[0])))
+                    for *_, k, f, d in loss)
+    op = CollisionOperator(grid=grid, kw=kw, band=band, n_entries=n_entries,
+                           mho_d=mho_d, rmho_d=rmho_d, loss=_layout(loss, c0, n_rows, (), (1, -1)),
+                           gain=_layout(gain, c0, n_rows, (), (2, -2)))
+    op.mho_d.flags.writeable = op.rmho_d.flags.writeable = False
     return op
 
 
@@ -535,8 +615,14 @@ def _prefix_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its error is Fast2Sum's min(p, x) - (t - max(p, x)), exact because the
     larger summand goes first: the same bits as TwoSum, in fewer passes.
     """
-    S = np.cumsum(terms, axis=-1)
-    E = np.empty_like(S)
+    S, E = np.empty_like(terms), np.empty_like(terms)
+    _sum2(terms, S, E)
+    return S, E
+
+
+def _sum2(terms: np.ndarray, S: np.ndarray, E: np.ndarray) -> None:
+    """_prefix_sums of ``terms`` into S and E."""
+    np.cumsum(terms, axis=-1, out=S)
     E[..., 0] = 0.0
     prev, x, err = S[..., :-1], terms[..., 1:], E[..., 1:]
     big = np.maximum(prev, x)
@@ -545,7 +631,6 @@ def _prefix_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     err -= big
     del big
     np.cumsum(E, axis=-1, out=E)
-    return S, E
 
 
 def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -553,12 +638,19 @@ def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     ``terms`` is nonnegative, with a zero first column, and every range lies
     in one row.  The sums are differences of the Sum2 row prefix sums S + E
-    of _prefix_sums.  A range whose a-priori bound u|v| + gamma_k^2 S_b
-    (k the row length, S_b the prefix total) exceeds RANGE_RTOL of its value
-    v is summed directly from its terms instead.
+    of _prefix_sums (see _certified_sums).
+    """
+    return _certified_sums(terms, *(a.ravel() for a in _prefix_sums(terms)), ends)
+
+
+def _certified_sums(terms: np.ndarray, S: np.ndarray, E: np.ndarray,
+                    ends: np.ndarray) -> np.ndarray:
+    """The range sums of _range_sums from the flat prefix sums S and E of
+    ``terms``.  A range whose a-priori bound u|v| + gamma_k^2 S_b (k the row
+    length, S_b the prefix total) exceeds RANGE_RTOL of its value v is
+    summed directly from its terms instead.
     """
     k = terms.shape[-1] - 1
-    S, E = (a.ravel() for a in _prefix_sums(terms))
     start, end = ends
     top = S.take(end)
     v = (top - S.take(start)) + (E.take(end) - E.take(start))
@@ -572,23 +664,53 @@ def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return v
 
 
-def _window_sums(planes, layout: _Windows) -> list[np.ndarray]:
-    """The range sums of a window layout (see _windowed), one array per part.
+def _generate(pieces: _Pieces, steps: np.ndarray) -> list:
+    """A batch's ranges from its pieces: their columns (start, end,
+    outputs...), each intp, each a piece's line at 0, 1, 2, ... from
+    np.repeat in int32, the last len(steps) by ``steps``."""
+    g = (pieces.lines.shape[0] - steps.size) // 2  # the columns with a step per piece
+    ramp = np.arange(pieces.size, dtype=np.int32)
+    lines = np.repeat(pieces.lines[:g], pieces.count, axis=1)
+    lines *= ramp
+    lines += np.repeat(pieces.lines[g:2 * g], pieces.count, axis=1)
+    columns = [column.astype(np.intp) for column in lines]
+    if steps.size:
+        lines = np.repeat(pieces.lines[2 * g:], pieces.count, axis=1)
+        lines += np.multiply.outer(steps, ramp)
+        columns += [column.astype(np.intp) for column in lines]
+    return columns
+
+
+def _window_sums(planes, layout: _Windows):
+    """Per batch of a layout (see _layout): its ranges' sums and outputs.
 
     Each of ``planes`` is a function fill(rows, terms) that writes the
     plane's values on the _Rows ``rows`` of the window ``terms``; a window is
-    filled behind a zero column and summed by _range_sums while it is in
-    cache.
+    filled behind a zero column and prefix-summed, and its ranges are listed
+    from its pieces and summed (_certified_sums) a batch at a time while it
+    is in cache.  Each window's terms and prefix sums go to buffers as
+    large as the largest window's, and every temporary of a batch stays
+    small, so the memory one window or batch frees serves the next.
     """
-    kept = np.empty(layout.keep.size)
-    for shape, ranges, strips in layout.windows:
-        terms = np.empty(shape)
+    space = np.empty((3, max((a * b for (a, b), _, _ in layout.windows), default=0)))
+    for shape, strips, batches in layout.windows:
+        terms, S, E = (a[:shape[0] * shape[1]].reshape(shape) for a in space)
         terms[:, 0] = 0.0
         for rows in strips:
             planes[rows.plane](rows, terms)
-        kept[ranges] = _range_sums(terms, layout.ends[:, ranges])
+        _sum2(terms, S, E)
+        S, E = S.ravel(), E.ravel()
+        for pieces in batches:
+            start, end, *outs = _generate(pieces, layout.steps)
+            yield _certified_sums(terms, S, E, (start, end)), outs
+
+
+def _part_sums(planes, layout: _Windows) -> list[np.ndarray]:
+    """The range sums of a layout whose one output is each range's place,
+    one array per part; an empty range sums to 0."""
     out = np.zeros(layout.bounds[-1])
-    out[layout.keep] = kept
+    for v, (at,) in _window_sums(planes, layout):
+        out[at] = v
     return np.split(out, layout.bounds[:-1])
 
 
@@ -620,21 +742,37 @@ def _planes(op: CollisionOperator, g: np.ndarray):
 
 
 def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
-    """The operator at density g: gains at l and m minus losses at i and j."""
-    if not op.n_entries:  # a band with no node
-        return np.zeros(op.grid.n_nodes)
-    gb, ab, (loss_planes, pair_planes) = _planes(op, g)
-    A, B, C = _window_sums(loss_planes, op.loss)
-    ai = ab.take(op.pair_i)
-    loss = op.pair_kmult * ab.take(op.pair_j) * (ai * (A + C) + gb.take(op.pair_i) * B)
-
-    A, B, C = _window_sums(pair_planes, op.gain)
-    al = ab.take(op.cell_l)
-    gain = op.cell_kmho * (gb.take(op.cell_l) * A + al * B) + op.cell_krmho * al * C
-
+    """The operator at density g: gains at l and m minus losses at i and j,
+    added up window by window."""
     n = op.grid.n_nodes
-    return (np.bincount(op.gain_nodes, np.concatenate((gain, gain)), n)
-            - np.bincount(op.loss_nodes, np.concatenate((loss, loss)), n))
+    if not op.n_entries:  # a band with no node
+        return np.zeros(n)
+    c0, c1 = op.band
+    _, ab, (loss_planes, pair_planes) = _planes(op, g)
+    a = np.zeros(n)
+    a[c0:c1 + 1] = ab
+    # a pair's factor by its code: a_i, g_i, a_i for A, B, C, halved where i = j
+    by_i = np.concatenate((a, g, a))
+    by_i = np.concatenate((by_i, 0.5 * by_i))
+    at_i, at_j = np.zeros(by_i.size), np.zeros(n)
+    for v, (i, j) in _window_sums(loss_planes, op.loss):
+        v *= a.take(j)
+        v *= by_i.take(i)
+        at_i += np.bincount(i, v, by_i.size)
+        at_j += np.bincount(j, v, n)
+    loss = at_i.reshape(6, n).sum(axis=0) + at_j
+
+    # a cell's factors by its codes: g_l, a_l, a_l and mho_m, mho_m, r_m mho_m
+    mho = op.grid.mho
+    by_l, by_m = np.concatenate((g, a, a)), np.concatenate((mho, mho, op.grid.r * mho))
+    at_lm = np.zeros(3 * n)
+    for v, (l, m) in _window_sums(pair_planes, op.gain):
+        v *= by_l.take(l)
+        v *= by_m.take(m)
+        at_lm += np.bincount(l, v, 3 * n)
+        at_lm += np.bincount(m, v, 3 * n)
+    K = op.kw.c_q * op.grid.h ** 2
+    return K * at_lm.reshape(3, n).sum(axis=0) - (2.0 * K) * loss
 
 
 # --- convex production ------------------------------------------------------
@@ -646,56 +784,108 @@ def _pow2(x: np.ndarray) -> np.ndarray:
 
 
 def _production_cells(op: CollisionOperator) -> SimpleNamespace:
-    """Range ends of _region_masses and _bracket_weights at the cells (s, t),
-    1 <= t <= s/2 - 1, where a bracket weight can be nonzero, and at every
-    node (s, x) of the band; each range is clipped to where its row of the
-    plane can be nonzero, and empty ones are dropped."""
+    """The layouts of _region_masses and _bracket_weights' shape, over the
+    cells (s, t), 1 <= t <= s/2 - 1, where a bracket weight can be nonzero,
+    and over every node (s, x) of the band.  Each range is clipped to where
+    its row of the plane can be nonzero, and empty ones are dropped; a
+    range's output is its place among its part's cells or nodes, row by
+    row.  The bounds bend where a power of two steps (t + E, x + xE or
+    x + xE - 1 at one) and where a range's condition flips; parts whose
+    ends alternate with the parity of t or x (through iota and last) step
+    by 2."""
     n, (c0, c1) = op.grid.n_nodes, op.band
     n_rows, nb = op.mho_sl.shape
     _check_indices(n, 5 * n_rows * (nb + 1))
     T = max(c1 - 1, 0)  # t = 1 .. T
-    row, t = (a.astype(np.int32) for a in
-              np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c1 + 1)[:, None]))
-    t += 1
-    x_row, x = np.divmod(np.arange(n_rows * nb, dtype=np.int32), nb)
-    x += c0
-    s, xs = row + 2 * c0, x_row + 2 * c0
-    E, xE = n - 1 - s, n - 1 - xs
+    row = np.arange(n_rows)
+    s = row + 2 * c0
+    in_row = np.clip(s // 2 - 1, 0, T)
+    cell0 = np.cumsum(in_row) - in_row  # each row's first cell
+    C, N = int(in_row.sum()), n_rows * nb
+    # (first, last) of the cells and of the nodes of each row, each range's
+    # place in its part, and where a bound can bend: where t + E or x + xE
+    # (E = xE = n - 1 - s) passes a power of two, where x + xE - 1 does,
+    # and where 2x + 2 <= s or 2x > s starts to fail or hold
+    cells = (np.ones_like(s), np.minimum(T, s // 2 - 1))
+    nodes = (np.full_like(s, c0), np.full_like(s, c1))
+    none = np.empty((0, n_rows), int)
+    dyadic = 2 ** np.arange((2 * n).bit_length() + 1)[:, None] - (n - 1 - s)
 
-    def ends(plane, row, lo, hi, pairs):  # pairs: i with j = s - i in the band
-        s = row + 2 * c0
-        lo = np.maximum(np.maximum(lo, c0), s - c1 if pairs else s - n + 1)
-        hi = np.minimum(np.minimum(hi, c1), s // 2 if pairs else s - 1)
-        return _part(plane, row, lo, hi)
+    def t_at(s, t):
+        return cell0[s - 2 * c0] + t - 1
 
-    def index(*parts):
-        return _windowed(parts, c0, n_rows)
+    def x_at(s, x):
+        return (s - 2 * c0) * nb + x - c0
 
-    # B covers t while min(l, m) > t, i.e. l <= cap; pairs up to last have
-    # e_i <= cap; sig is B's anchor pair (t where E + t < 1, which empties
-    # every B range); iota is the first pair with e_i >= l
-    cap = s - t - 1
-    last = np.minimum((cap - E) // 2, t)
-    sig = np.where(t + E >= 1, _pow2(t + E) - E, t)
-    top = E + 2 * sig
-    iota = -((xE - x) // 2)
-    z_hi = np.where(x + xE >= 2, _pow2(x + xE - 1) - xE, 0)
-    w_lo = np.where((x + xE >= 1) & (2 * x + 2 <= xs), 2 * _pow2(x + xE) - xE + 1, n)
-    # per cell: A's l prefix, C's q range, B's b to cap and to top; w per i;
-    # SP at t+1 and per l at iota, B's capped and anchored P ranges; z per l;
+    # B covers t while min(l, m) > t, i.e. l <= cap; pairs up to last =
+    # min(a, t) have e_i <= cap; sig is B's anchor pair (t where E + t < 1,
+    # which empties every B range); iota is the first pair with e_i >= l
+    def sig(s, t):
+        E = n - 1 - s
+        return np.where(t + E >= 1, _pow2(t + E) - E, t)
+
+    def top(s, t):
+        return n - 1 - s + 2 * sig(s, t)
+
+    def a(s, t):
+        return (2 * s - n - t) // 2
+
+    def iota(s, x):
+        return -((n - 1 - s - x) // 2)
+
+    def z_hi(s, x):
+        xE = n - 1 - s
+        return np.where(x + xE >= 2, _pow2(x + xE - 1) - xE, 0)
+
+    def w_lo(s, x):
+        xE = n - 1 - s
+        return np.where((x + xE >= 1) & (2 * x + 2 <= s), 2 * _pow2(x + xE) - xE + 1, n)
+
+    # per layout and part: plane, cells or nodes, step, pairs (i with j =
+    # s - i in the band), the terms of lo and hi, and where they bend: per
+    # cell A's l prefix, C's q range, B's b to cap and to top, w per i; SP
+    # at t+1 and per l at iota, B's capped and anchored P ranges, z per l;
     # then the ranges of z, v and w (see _region_masses)
-    return SimpleNamespace(
-        t=t, delta_hi=cap, shape=(n_rows, T), flat=row * T + t - 1,
-        loss=index(ends(0, row, c0, t, False), ends(2, row, s - t, E + 2 * t + 2, False),
-                   ends(1, row, t + 1, cap, False), ends(1, row, t + 1, top, False),
-                   ends(1, x_row, w_lo, xE + 2 * x, False)),
-        pairs=index(ends(0, row, t + 1, t + n, True),
-                    ends(0, x_row, iota, c1 * (2 * x > xs), True),
-                    ends(1, row, np.maximum(sig, last) + 1, t, True),
-                    ends(1, row, sig + 1, last, True), ends(1, x_row, iota, z_hi, True)),
-        zvw=index(ends(0, row, t + 1, np.minimum(top, cap), False),
-                  ends(1, row, np.maximum(s - t, E + 2 * t + 3), s, False),
-                  ends(2, row, sig + 1, last, True)))
+    layouts = {
+        "loss": [(0, cells, 1, False, [lambda s, t: c0], [lambda s, t: t], none),
+                 (2, cells, 1, False, [lambda s, t: s - t], [lambda s, t: n + 1 - s + 2 * t], none),
+                 (1, cells, 1, False, [lambda s, t: t + 1], [lambda s, t: s - t - 1], none),
+                 (1, cells, 1, False, [lambda s, t: t + 1], [top], dyadic),
+                 (1, nodes, 1, False, [w_lo], [lambda s, x: n - 1 - s + 2 * x],
+                  np.vstack((dyadic, [s // 2])))],
+        "pairs": [(0, cells, 1, True, [lambda s, t: t + 1], [lambda s, t: t + n], none),
+                  (0, nodes, 2, True, [iota], [lambda s, x: c1 * (2 * x > s)], [s // 2 + 1]),
+                  (1, cells, 2, True, [lambda s, t: sig(s, t) + 1, lambda s, t: a(s, t) + 1],
+                   [lambda s, t: t], dyadic),
+                  (1, cells, 2, True, [lambda s, t: sig(s, t) + 1], [a, lambda s, t: t], dyadic),
+                  (1, nodes, 2, True, [iota], [z_hi], dyadic + 1)],
+        "zvw": [(0, cells, 1, False, [lambda s, t: t + 1], [top, lambda s, t: s - t - 1], dyadic),
+                (1, cells, 1, False, [lambda s, t: s - t, lambda s, t: n + 2 + 2 * t - s],
+                 [lambda s, t: s], none),
+                (2, cells, 2, True, [lambda s, t: sig(s, t) + 1], [a, lambda s, t: t], dyadic)]}
+    # a range is clipped to where its row of a loss plane (or, for pairs,
+    # of a pair plane) can be nonzero
+    clips = {False: ([lambda s, x: c0, lambda s, x: s - n + 1],
+                     [lambda s, x: c1, lambda s, x: s - 1]),
+             True: ([lambda s, x: c0, lambda s, x: s - c1],
+                    [lambda s, x: c1, lambda s, x: s // 2])}
+    out = {}
+    for name, parts in layouts.items():
+        pieces, bounds = [], np.cumsum([C if where is cells else N for _, where, *_ in parts])
+        for part, (plane, where, step, pairs, lo, hi, cuts) in enumerate(parts):
+            first, last = where
+            cuts = np.asarray(cuts)
+            place = t_at if where is cells else x_at
+            offset = bounds[part] - (C if where is cells else N)
+            rows, ss = row, s
+            if step == 2:  # each parity of t or x, row by row
+                rows, ss, last, cuts = (np.repeat(a, 2, axis=-1) for a in (row, s, last, cuts))
+                first = np.repeat(first, 2) + np.tile([0, 1], n_rows)
+            pieces.append(_lines(part, plane, rows, ss, first, last, step, lo + clips[pairs][0],
+                                 hi + clips[pairs][1],
+                                 [lambda s, x, place=place, o=offset: place(s, x) + o], cuts))
+        out[name] = _layout(pieces, c0, n_rows, tuple(bounds.tolist()), ())
+    return SimpleNamespace(shape=(n_rows, T), **out)
 
 
 def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -725,8 +915,8 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
     c = op.production_cells
     nb = op.mho_sl.shape[1]
     _, _, (loss, pairs) = _planes(op, g)
-    pre, q, b_cap, b_top, w = _window_sums(loss, c.loss)
-    sp, sp_iota, p_cap, p_top, z = _window_sums(pairs, c.pairs)
+    pre, q, b_cap, b_top, w = _part_sums(loss, c.loss)
+    sp, sp_iota, p_cap, p_top, z = _part_sums(pairs, c.pairs)
 
     def times(fill, factor):  # the plane times a value per node (s, x)
         factor = np.concatenate((factor, np.zeros(nb)))  # padded past the last row
@@ -737,10 +927,13 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
             terms[rows.rows, 1:] *= factors[rows.row * nb + rows.first]
         return scaled
 
-    z, v, w = _window_sums([times(loss[1], z), times(loss[2], sp_iota), times(pairs[1], w)],
-                           c.zvw)
+    planes = [times(loss[1], z), times(loss[2], sp_iota), times(pairs[1], w)]
+    # the products first, so that the two layouts' outputs are freed before the third's
+    outward, cap, top = sp * (pre + q), p_cap * b_cap, p_top * b_top
+    del pre, q, b_cap, b_top, w, sp, sp_iota, p_cap, p_top, z
+    z, v, w = _part_sums(planes, c.zvw)
     kh = op.kw.c_q * op.grid.h ** 3
-    return kh * (sp * (pre + q) + v), kh * (z + p_cap * b_cap + p_top * b_top + w)
+    return kh * (outward + v), kh * (z + cap + top + w)
 
 
 def _bracket_weights(op: CollisionOperator, D: np.ndarray) -> np.ndarray:
@@ -752,12 +945,16 @@ def _bracket_weights(op: CollisionOperator, D: np.ndarray) -> np.ndarray:
     sign of its region: + in A and C, - in B.  Each row is summed outward
     from s/2, so Delta is exactly 0 wherever D is.
     """
-    c = op.production_cells
+    n_rows, T = shape = op.production_cells.shape
+    c0 = op.band[0]
+    row, t = np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c0 + n_rows)[:, None])
+    t += 1
+    hi = row + 2 * c0 - t - 1
+    flat = row * T + t - 1
     D = np.concatenate(([0.0], D, np.zeros(op.grid.n_nodes + 1)))  # D_0 .. D_2n-1
-    t, hi = c.t, c.delta_hi
-    steps = np.zeros(c.shape)
-    steps.flat[c.flat] = D[t + 1] + np.where(t + 1 < hi, D[hi], 0.0)
-    return np.cumsum(steps[:, ::-1], axis=1)[:, ::-1].ravel()[c.flat]
+    steps = np.zeros(shape)
+    steps.flat[flat] = D[t + 1] + np.where(t + 1 < hi, D[hi], 0.0)
+    return np.cumsum(steps[:, ::-1], axis=1)[:, ::-1].ravel()[flat]
 
 
 def rhs(op: CollisionOperator, state: SpectrumState) -> np.ndarray:

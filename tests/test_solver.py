@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deposit_scale, production, random_state, table_production, table_rhs
+from conftest import (
+    deposit_scale,
+    production,
+    random_state,
+    stored_layouts,
+    table_production,
+    table_rhs,
+    window_ranges,
+)
 from wavekin.collision_kernel import DEFAULT_C_Q, KernelWeights, cutoff_kernel
 from wavekin import solver
 from wavekin.diagnostics import (
@@ -275,8 +283,9 @@ class TestCollisionOperator:
         op, table = build_operator(kw, grid), build_kernel_table(kw, grid)
         # both range lists enumerate every table entry once
         assert op.n_entries == table.n_entries > 0
-        for ends in (op.loss.ends, op.gain.ends):
-            assert int(np.sum(ends[1] - ends[0], dtype=np.int64)) == table.n_entries
+        for layout in (op.loss, op.gain):
+            ends = [columns[:2] for columns in window_ranges(layout)]
+            assert sum(int(np.sum(end - start)) for start, end in ends) == table.n_entries
         rng = np.random.default_rng(1)
         states = [rng.uniform(0.1, 2.0, n_nodes),
                   np.exp(-0.5 * ((grid.omega - 4.0) / 0.6) ** 2),
@@ -388,6 +397,43 @@ class TestCollisionOperator:
                 tracemalloc.stop()
             assert peak <= limit_mib * 2 ** 20
 
+    def test_memory_at_1024_nodes(self, d_quad):
+        # with every range's ends and output and the pair and cell lists
+        # stored, the set-up peaked at 137.4 MiB and one call at 79.9 MiB
+        # above it; affine pieces, listed a batch at a time, need 10.0 and
+        # 1.5 MiB
+        grid = OmegaGrid(d_quad, 1024, 8.0)
+        g = gaussian_bump(grid, center=4.0, width=0.6, amplitude=1.0).g
+        tracemalloc.start()
+        try:
+            op = build_operator(KernelWeights(), grid)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solver._rhs_of_g(op, g)
+            call = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert build <= 16.0 * 2 ** 20
+        assert call <= 3.0 * 2 ** 20
+
+    def test_stored_state_grows_like_n(self, d_quad):
+        # stored range ends and lists grew 4.0x from 256 to 512 nodes, as
+        # n^2; the pieces grow 2.0x
+        def stored(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, tuple):
+                return sum(stored(v) for v in value)
+            if dataclasses.is_dataclass(value):
+                return sum(stored(getattr(value, f.name)) for f in dataclasses.fields(value)
+                           if f.name != "grid")
+            return 0
+
+        small, large = (stored(build_operator(KernelWeights(), OmegaGrid(d_quad, n, 8.0)))
+                        for n in (256, 512))
+        assert large <= 2.5 * small
+
     def test_production_cells_check_int32_first(self, op32_quad, monkeypatch):
         # production keeps up to five ranges per cell of the planes, against
         # the operator's three, so it checks its own count before building
@@ -418,28 +464,31 @@ class TestCollisionOperator:
 
 def _check_layout(layout, plane_row=None):
     """The window invariants of a layout: every (plane, row) in one window,
-    every range inside its row's stored extent, and every window within
-    BLOCK_CELLS cells or of one row.  ``plane_row``, where given, is the
-    (plane, row) each output position's range must sit in."""
-    seen, n_ranges = set(), 0
-    for (n_held, width), ranges, strips in layout.windows:
+    every range inside its row's stored extent, every output given once,
+    and every window within BLOCK_CELLS cells or of one row.  ``plane_row``,
+    where given, maps the ranges' outputs to the (plane, row) each range
+    must sit in; else an output is a place below the layout's last bound."""
+    seen, outputs = set(), []
+    for window, columns in zip(layout.windows, window_ranges(layout)):
+        n_held, width = window.shape
         assert n_held * width <= solver.BLOCK_CELLS or n_held == 1
         held = np.full((n_held, 2), -1)
-        for rows in strips:
+        for rows in window.rows:
             assert np.all(held[rows.rows] == -1)
             held[rows.rows] = np.column_stack([np.full(rows.row.size, rows.plane), rows.row])
         keys = {tuple(key) for key in held.tolist()}
         assert len(keys) == n_held and -1 not in held and not keys & seen
         seen |= keys
-        assert ranges.start == n_ranges
-        n_ranges = ranges.stop
-        start, end = layout.ends[:, ranges]
+        start, end = columns[:2]
         k = start // width  # the window row of each range; its column 0 is the zero
         assert np.all(end > start) and np.all(end <= k * width + width - 1)
         if plane_row is not None:
-            assert np.array_equal(held[k], plane_row[layout.keep[ranges]])
-    assert n_ranges == layout.keep.size == np.unique(layout.keep).size
-    assert np.all(layout.keep < layout.bounds[-1])
+            assert np.array_equal(held[k], plane_row(*columns[2:]))
+        outputs.append(columns[2:])
+    outputs = np.concatenate(outputs, axis=1)
+    assert np.unique(outputs, axis=1).shape[1] == outputs.shape[1]
+    if plane_row is None:
+        assert np.all((outputs >= 0) & (outputs < layout.bounds[-1]))
 
 
 @pytest.mark.parametrize("n_nodes", [24, 64, 128])
@@ -448,18 +497,49 @@ def _check_layout(layout, plane_row=None):
 def test_window_layouts(alpha, cutoff_n, n_nodes):
     grid = OmegaGrid(DispersionRelation.power_law(alpha), n_nodes, 8.0)
     op = build_operator(KernelWeights(cutoff_n=cutoff_n), grid)
-    c0 = op.band[0]
-    # loss: parts A, B, C of each pair on loss planes 0, 1, 2 in row s - 2 c0;
-    # gain: parts A, B, C of each cell on pair planes 0, 1, 0
-    pair_row = op.pair_i + op.pair_j
-    cell_row = op.gain_nodes[:op.cell_l.size] + op.gain_nodes[op.cell_l.size:] - 2 * c0
-    for layout, rows, planes in ((op.loss, pair_row, (0, 1, 2)), (op.gain, cell_row, (0, 1, 0))):
-        plane_row = np.concatenate([np.column_stack([np.full(rows.size, p), rows])
-                                    for p in planes])
-        _check_layout(layout, plane_row)
+    c0, n = op.band[0], n_nodes
+
+    # loss: parts A, B, C of each pair (s, i) on loss planes 0, 1, 2 in row
+    # s - 2 c0, coded i + n part (+ 3n where i = j) and j
+    def pair_row(i, j):
+        assert np.array_equal(i // (3 * n) == 1, i % n == j)
+        return np.column_stack([i // n % 3, i % n + j - 2 * c0])
+
+    # gain: parts A, B, C of each cell (s, l) on pair planes 0, 1, 0, coded
+    # l + n part and m + n part
+    def cell_row(l, m):
+        assert np.array_equal(l // n, m // n)
+        return np.column_stack([np.array([0, 1, 0])[l // n], l % n + m % n - 2 * c0])
+
+    _check_layout(op.loss, pair_row)
+    _check_layout(op.gain, cell_row)
     cells = op.production_cells
     for layout in (cells.loss, cells.pairs, cells.zvw):
         _check_layout(layout)
+
+
+@pytest.mark.parametrize("n_nodes", [24, 64, 128])
+@pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+def test_pieces_list_the_stored_ranges(alpha, cutoff_n, n_nodes):
+    # each window's pieces list the ranges that storing them one by one
+    # puts there, with the same outputs, in the same windows and rows
+    grid = OmegaGrid(DispersionRelation.power_law(alpha), n_nodes, 8.0)
+    op = build_operator(KernelWeights(cutoff_n=cutoff_n), grid)
+    cells = op.production_cells
+    layouts = {"loss": op.loss, "gain": op.gain, "production loss": cells.loss,
+               "production pairs": cells.pairs, "production zvw": cells.zvw}
+    for name, want in stored_layouts(op).items():
+        layout = layouts[name]
+        assert len(layout.windows) == len(want), name
+        for window, columns, (shape, rows, ranges) in zip(layout.windows,
+                                                          window_ranges(layout), want):
+            assert window.shape == shape, name
+            assert [(r.plane, r.rows, r.row.tolist(), r.first.tolist(), r.diagonal.tolist(),
+                     r.half.tolist()) for r in window.rows] == [
+                (plane, at, *(a.tolist() for a in arrays)) for plane, at, *arrays in rows], name
+            got = list(map(tuple, columns.T.tolist()))
+            assert len(got) == len(ranges) and set(got) == ranges, name
 
 
 def _twosum_errors(terms):
