@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -443,6 +442,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_report(args.series, out_dir, args.discard_fraction)
 
         if out_dir is None and args.command == "simulate":
+            import hashlib  # here only: it maps OpenSSL, megabytes resident
+
             digest = hashlib.sha256(
                 (yaml.safe_dump(cfg.to_dict(), sort_keys=True) + f"|seed={seed}").encode()
             ).hexdigest()[:12]

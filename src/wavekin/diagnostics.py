@@ -136,14 +136,19 @@ def convex_production(op, state, weights: Mapping[str, np.ndarray]
     The production is the sum over interactions of
     mult * W * g_i g_j g_l * h^3 * [phi_l + phi_m - phi_i - phi_j], and the
     scale the same sum with each bracket's magnitude, the tolerance scale
-    for its sign; both come from one evaluation of the region masses.  For
-    affine phi every weight, and so the production, is exactly 0.
+    for its sign; both come from one evaluation of the region masses, added
+    up block by block of their rows.  For affine phi every weight, and so
+    the production, is exactly 0.
     """
     _solver._check_same_grid(op, state)
-    outward, inward = _solver._region_masses(op, state.g)
-    net, total = outward - inward, outward + inward
-    return {name: (float(np.sum(d * net)), float(np.sum(d * total)))
-            for name, d in weights.items()}
+    sums = {name: [0.0, 0.0] for name in weights}
+    for cells, outward, inward in _solver._region_masses(op, state.g):
+        net, total = outward - inward, outward + inward
+        for name, d in weights.items():
+            sums[name][0] += float(np.sum(d[cells] * net))
+            sums[name][1] += float(np.sum(d[cells] * total))
+        del net, total  # before the next block's masses
+    return {name: (p, scale) for name, (p, scale) in sums.items()}
 
 
 def make_record(state, cfg: DiagnosticsConfig, op,

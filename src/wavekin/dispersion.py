@@ -234,10 +234,8 @@ def invert_omega(d: DispersionRelation, w: float) -> float:
     """Radius r with omega(r) = w.
 
     Power laws use the closed form w**(1/alpha).  Custom laws use bracketed
-    bisection: the initial bracket [0, max(1, (w / c_omega_lower)**(1/alpha))]
-    is valid because of the lower growth bound; it is widened defensively in
-    case a custom profile only meets its declared constant marginally.  Either
-    way the result satisfies |omega(r) - w| <= 1e-12 * max(1, w).
+    bisection (see _invert_custom).  Either way the result satisfies
+    |omega(r) - w| <= 1e-12 * max(1, w).
     """
     if not (isinstance(w, (int, float)) and math.isfinite(w)):
         raise ValueError(f"target frequency must be finite, got {w!r}")
@@ -248,19 +246,57 @@ def invert_omega(d: DispersionRelation, w: float) -> float:
         return 0.0
     if d.kind == "power_law":
         return w ** (1.0 / d.alpha)
+    return float(_invert_custom(d, np.array([w]))[0])
 
-    hi = max(1.0, (w / d.c_omega_lower) ** (1.0 / d.alpha))
+
+def _invert_custom(d: DispersionRelation, w: np.ndarray) -> np.ndarray:
+    """invert_omega of a custom law at every w > 0 of an array, all at once.
+
+    Each w has its own bracket [0, max(1, (w / c_omega_lower)**(1/alpha))],
+    valid because of the lower growth bound and doubled defensively in case
+    a custom profile only meets its declared constant marginally, and each
+    is bisected by _bisect's rule, so every radius has the bits of a bisection
+    of its own.  Each step evaluates omega once at every unfinished node.
+    """
+    hi = np.array([max(1.0, (x / d.c_omega_lower) ** (1.0 / d.alpha)) for x in w.tolist()])
+    short = np.arange(w.size)
     for _ in range(200):
-        if eval_omega(d, hi) >= w:
+        short = short[eval_omega(d, hi[short]) < w[short]]
+        if not short.size:
             break
-        hi *= 2.0
+        hi[short] *= 2.0
     else:
-        raise ValueError(f"could not bracket omega = {w:g}")
+        raise ValueError(f"could not bracket omega = {w[short[0]]:g}")
 
-    r = _bisect(lambda x: eval_omega(d, x) - w, 0.0, hi)
+    # _bisect on [0, hi] for every w at once
+    flo, fhi = eval_omega(d, 0.0) - w, eval_omega(d, hi) - w
+    wrong = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) | (fhi < 0.0)))
+    if wrong.size:
+        k = wrong[0]
+        raise BracketError(f"no sign change on [0, {hi[k]:g}]: f(lo)={flo[k]:g}, "
+                           f"f(hi)={fhi[k]:g}")
+    lo = np.zeros(w.size)
+    r = np.where(flo == 0.0, 0.0, hi)
+    live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    for _ in range(200):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = eval_omega(d, mid) - w[live]
+        root, below = fm == 0.0, fm < 0.0
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        a, b = lo[live], hi[live]
+        narrow = b - a <= 1e-16 * np.maximum(1e-6, np.abs(b))
+        r[live] = np.where(root, mid, 0.5 * (a + b))
+        live = live[~root & ~narrow]
+
     resid = eval_omega(d, r) - w
-    if abs(resid) > 1e-12 * max(1.0, w):
-        raise ValueError(f"bisection failed to invert omega at w={w:g} (residual {resid:g})")
+    bad = np.flatnonzero(np.abs(resid) > 1e-12 * np.maximum(1.0, w))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"bisection failed to invert omega at w={w[k]:g} "
+                         f"(residual {resid[k]:g})")
     return r
 
 

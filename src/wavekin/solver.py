@@ -34,7 +34,9 @@ layout keeps O(n) affine pieces, found from those crossings with O(n)
 work, and a call lists a batch of ranges at a time and adds their sums
 straight into n-long gains and losses.
 
-Convex production reuses the same planes and range sums (_region_masses).
+Convex production reuses the same planes and range sums (_region_masses),
+block by block of rows, each block with layouts of its own, so that its
+working set is one block too.
 The O(n^3) KernelTable (build_kernel_table) lists the interactions one by
 one; no run builds it, and the tests keep it as the operator's reference.
 """
@@ -49,7 +51,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from wavekin.dispersion import DispersionRelation, eval_mho, invert_omega
+from wavekin.dispersion import DispersionRelation, _invert_custom, eval_mho, invert_omega
 from wavekin.collision_kernel import KernelWeights
 from wavekin import diagnostics as _diag
 
@@ -108,7 +110,9 @@ class OmegaGrid:
         n_nodes = int(n_nodes)
         h = float(omega_max) / (n_nodes - 1)
         omega = np.arange(n_nodes, dtype=float) * h
-        r = np.array([invert_omega(d, w) for w in omega])
+        r = np.zeros(n_nodes)  # omega_0 = 0 is r = 0; a custom law bisects all others at once
+        r[1:] = (_invert_custom(d, omega[1:]) if d.kind == "custom"
+                 else [invert_omega(d, w) for w in omega[1:]])
         # the origin node carries no measure and no interactions, so its mho
         # entry is never read; store 0 rather than evaluate at r = 0 (which
         # is undefined for iota = 0)
@@ -385,8 +389,9 @@ class CollisionOperator:
 
     @functools.cached_property
     def production_cells(self) -> SimpleNamespace:
-        """Where convex production reads the planes (see _region_masses);
-        built on first use, as no other evaluation needs it."""
+        """Where convex production reads the planes, block by block of rows
+        (see _production_cells), so a production call's working set is one
+        block; built on first use, as no other evaluation needs it."""
         return _production_cells(self)
 
 
@@ -405,9 +410,10 @@ def _row_views(values: np.ndarray, width: int) -> np.ndarray:
 #: Ranges per batch of a window: a batch's ranges are listed, summed and
 #: added up at once, in a core's cache.
 _BATCH = 2 ** 13
-def _layout(pieces: list, c0: int, n_rows: int, bounds: tuple, steps: tuple) -> _Windows:
+def _layout(pieces: list, c0: int, n_rows: int, rows: range, bounds: tuple,
+            steps: tuple) -> _Windows:
     """The window layout of CollisionOperator for ``pieces`` (of _lines,
-    all cut with ``steps``).
+    all cut with ``steps``) of the planes' ``rows``.
 
     Each (plane, row) is stored from the first column its ranges reach to
     the last.  The rows are sorted by that length, longest first (a stable
@@ -426,8 +432,8 @@ def _layout(pieces: list, c0: int, n_rows: int, bounds: tuple, steps: tuple) -> 
     if not count.size:
         return _Windows((), bounds, steps)
     last = first[:2] + slope[:2] * (count - 1)
-    key = plane * n_rows + row
-    n_keys = n_rows * (1 + int(plane.max(initial=0)))
+    key = plane * len(rows) + row - rows.start
+    n_keys = len(rows) * (1 + int(plane.max(initial=0)))
     lead = np.full(n_keys, n_rows + 1)  # each (plane, row)'s first stored column
     np.minimum.at(lead, key, np.minimum(first[0], last[0]) - c0)
     width = np.full(n_keys, -n_rows)
@@ -449,7 +455,8 @@ def _layout(pieces: list, c0: int, n_rows: int, bounds: tuple, steps: tuple) -> 
     place = np.arange(keys.size) - np.asarray(starts[:-1])[at]  # where in its window
     window, base = np.zeros(n_keys, np.intp), np.zeros(n_keys, np.intp)
     window[keys], base[keys] = at, place * (w + 1) - lead[keys]
-    on, r = np.divmod(keys, n_rows)
+    on, r = np.divmod(keys, len(rows))
+    r += rows.start
     f = lead[keys]
     # where each pair cell i = j (row 2i, column i) sits in its window
     i = np.flatnonzero((r % 2 == 0) & (r // 2 >= f) & (r // 2 < f + w))
@@ -506,25 +513,30 @@ def _lines(part: int, plane: int, row, s, first, last, step: int, lo: list, hi: 
     def stretches(width, points):
         """(owner, start, count) of the stretches of 0 .. width - 1 of each
         owner between ``points`` (points, owners), owner by owner."""
-        cut = np.column_stack((0 * width, points.T, width))
-        cut = np.sort(np.clip(cut, 0, width[:, None]), axis=1)
-        k, j = np.nonzero(cut[:, 1:] > cut[:, :-1])
-        return k, cut[k, j], cut[k, j + 1] - cut[k, j]
+        j, k = np.nonzero((points > 0) & (points < width))  # the points inside
+        owner = np.arange(width.size)
+        cut = np.concatenate((0 * width, points[j, k], width))
+        k = np.concatenate((owner, k, owner))
+        order = np.lexsort((cut, k))
+        k, cut = k[order], cut[order]
+        a = np.flatnonzero((k[1:] == k[:-1]) & (cut[1:] > cut[:-1]))
+        return k[a], cut[a], cut[a + 1] - cut[a]
 
     # the stretches on which every function is affine
     width = np.maximum((last - first) // step + 1, 0)
     k, u, count = stretches(width, -((first - cuts) // step))
     x, s = first[k] + step * u, s[k]
-    # where two bounding functions cross on each of them
-    values = np.stack(at(s, x, lo + hi))
-    steps = np.stack(at(s, x + step, lo + hi)) - values
+    # where two bounding functions cross on each of them (node indices, so
+    # int32)
+    values = np.stack(at(s, x, lo + hi), dtype=np.int32)
+    steps = np.stack(at(s, x + step, lo + hi), dtype=np.int32) - values
     i, j = np.triu_indices(len(values), 1)
     den = steps[i] - steps[j]
     live = np.flatnonzero(np.any(den != 0, axis=1))  # pairs that can cross
     i, j, den = i[live], j[live], den[live]
     num, den = (values[j] - values[i]) * np.sign(den), np.abs(den)
     one = np.maximum(den, 1)
-    cross = np.where(den > 0, [-(-num // one), num // one + 1], count)
+    cross = np.where(den > 0, [-(-num // one), num // one + 1], 0)
     k2, u, count = stretches(count, cross.reshape(2 * i.size, count.size))
     k, x, s = k[k2], x[k2] + step * u, s[k2]
 
@@ -600,9 +612,11 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     # a pair's loss ranges cover its admissible l once
     n_entries = sum(int(np.sum(k * (f[1] - f[0] + 1) + (k * (k - 1) // 2) * (d[1] - d[0])))
                     for *_, k, f, d in loss)
+    rows = range(n_rows)
     op = CollisionOperator(grid=grid, kw=kw, band=band, n_entries=n_entries,
-                           mho_d=mho_d, rmho_d=rmho_d, loss=_layout(loss, c0, n_rows, (), (1, -1)),
-                           gain=_layout(gain, c0, n_rows, (), (2, -2)))
+                           mho_d=mho_d, rmho_d=rmho_d,
+                           loss=_layout(loss, c0, n_rows, rows, (), (1, -1)),
+                           gain=_layout(gain, c0, n_rows, rows, (), (2, -2)))
     op.mho_d.flags.writeable = op.rmho_d.flags.writeable = False
     return op
 
@@ -653,7 +667,11 @@ def _certified_sums(terms: np.ndarray, S: np.ndarray, E: np.ndarray,
     k = terms.shape[-1] - 1
     start, end = ends
     top = S.take(end)
-    v = (top - S.take(start)) + (E.take(end) - E.take(start))
+    v = top - S.take(start)
+    e = E.take(end)
+    e -= E.take(start)
+    v += e  # (S_b - S_a) + (E_b - E_a), one temporary at a time
+    del e
     gamma = k * _U / (1.0 - k * _U)
     bad = np.flatnonzero(top * (gamma * gamma / (RANGE_RTOL - _U)) > np.abs(v))
     if bad.size:
@@ -681,18 +699,24 @@ def _generate(pieces: _Pieces, steps: np.ndarray) -> list:
     return columns
 
 
-def _window_sums(planes, layout: _Windows):
+def _most_cells(layouts) -> int:
+    """The cells of the largest window of ``layouts``."""
+    return max((a * b for layout in layouts for (a, b), _, _ in layout.windows), default=0)
+
+
+def _window_sums(planes, layout: _Windows, space: np.ndarray):
     """Per batch of a layout (see _layout): its ranges' sums and outputs.
 
     Each of ``planes`` is a function fill(rows, terms) that writes the
     plane's values on the _Rows ``rows`` of the window ``terms``; a window is
     filled behind a zero column and prefix-summed, and its ranges are listed
     from its pieces and summed (_certified_sums) a batch at a time while it
-    is in cache.  Each window's terms and prefix sums go to buffers as
-    large as the largest window's, and every temporary of a batch stays
-    small, so the memory one window or batch frees serves the next.
+    is in cache.  Each window's terms and prefix sums go to ``space``, a
+    (3, _most_cells) buffer that a call allocates once for all its
+    layouts, and every temporary of a batch stays small and is dropped,
+    here and in _part_sums, before the next batch's ranges are listed, so
+    the memory one window or batch frees serves the next.
     """
-    space = np.empty((3, max((a * b for (a, b), _, _ in layout.windows), default=0)))
     for shape, strips, batches in layout.windows:
         terms, S, E = (a[:shape[0] * shape[1]].reshape(shape) for a in space)
         terms[:, 0] = 0.0
@@ -702,16 +726,22 @@ def _window_sums(planes, layout: _Windows):
         S, E = S.ravel(), E.ravel()
         for pieces in batches:
             start, end, *outs = _generate(pieces, layout.steps)
-            yield _certified_sums(terms, S, E, (start, end)), outs
+            v = _certified_sums(terms, S, E, (start, end))
+            del start, end
+            yield v, outs
+            del v, outs  # before the next batch's are listed
 
 
-def _part_sums(planes, layout: _Windows) -> list[np.ndarray]:
+def _part_sums(planes, layout: _Windows, space: np.ndarray, out: np.ndarray) -> list:
     """The range sums of a layout whose one output is each range's place,
-    one array per part; an empty range sums to 0."""
-    out = np.zeros(layout.bounds[-1])
-    for v, (at,) in _window_sums(planes, layout):
+    one array per part, written to the start of ``out``; an empty range
+    sums to 0."""
+    out = out[:layout.bounds[-1]]
+    out[:] = 0.0
+    for v, (at,) in _window_sums(planes, layout, space):
         out[at] = v
-    return np.split(out, layout.bounds[:-1])
+        del v, at  # before the next batch's are listed
+    return [out[a:b] for a, b in zip((0,) + layout.bounds[:-1], layout.bounds)]
 
 
 def _planes(op: CollisionOperator, g: np.ndarray):
@@ -755,7 +785,8 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     by_i = np.concatenate((a, g, a))
     by_i = np.concatenate((by_i, 0.5 * by_i))
     at_i, at_j = np.zeros(by_i.size), np.zeros(n)
-    for v, (i, j) in _window_sums(loss_planes, op.loss):
+    space = np.empty((3, _most_cells((op.loss, op.gain))))
+    for v, (i, j) in _window_sums(loss_planes, op.loss, space):
         v *= a.take(j)
         v *= by_i.take(i)
         at_i += np.bincount(i, v, by_i.size)
@@ -766,7 +797,7 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     mho = op.grid.mho
     by_l, by_m = np.concatenate((g, a, a)), np.concatenate((mho, mho, op.grid.r * mho))
     at_lm = np.zeros(3 * n)
-    for v, (l, m) in _window_sums(pair_planes, op.gain):
+    for v, (l, m) in _window_sums(pair_planes, op.gain, space):
         v *= by_l.take(l)
         v *= by_m.take(m)
         at_lm += np.bincount(l, v, 3 * n)
@@ -783,39 +814,42 @@ def _pow2(x: np.ndarray) -> np.ndarray:
     return np.left_shift(1, np.frexp(np.maximum(x, 1).astype(float))[1] - 1)
 
 
+#: Rows per block of convex production: a block's range sums, products and
+#: bracket weights are made, summed and freed before the next block's.
+PRODUCTION_ROWS = 64
+
+
+class _Block(NamedTuple):
+    """A block of convex production's rows (s - 2 c0): where its cells sit
+    among all production cells, and its layouts (see _production_cells)."""
+
+    rows: range
+    cells: slice
+    loss: _Windows
+    pairs: _Windows
+    zvw: _Windows
+
+
 def _production_cells(op: CollisionOperator) -> SimpleNamespace:
-    """The layouts of _region_masses and _bracket_weights' shape, over the
-    cells (s, t), 1 <= t <= s/2 - 1, where a bracket weight can be nonzero,
-    and over every node (s, x) of the band.  Each range is clipped to where
-    its row of the plane can be nonzero, and empty ones are dropped; a
-    range's output is its place among its part's cells or nodes, row by
-    row.  The bounds bend where a power of two steps (t + E, x + xE or
-    x + xE - 1 at one) and where a range's condition flips; parts whose
-    ends alternate with the parity of t or x (through iota and last) step
-    by 2."""
+    """The layouts of _region_masses and _bracket_weights' shape, block by
+    block of rows.
+
+    A block is a run of PRODUCTION_ROWS rows (fewer at the end).  Its
+    layouts hold the ranges over its cells (s, t), 1 <= t <= s/2 - 1, where
+    a bracket weight can be nonzero, and over its nodes (s, x) of the band,
+    and are built from the pieces of its rows only.  Each range is clipped
+    to where its row of the plane can be nonzero, and empty ones are
+    dropped; a range's output is its place among its part's cells or nodes
+    of the block, row by row.  The bounds bend where a power of two steps
+    (t + E, x + xE or x + xE - 1 at one) and where a range's condition
+    flips; parts whose ends alternate with the parity of t or x (through
+    iota and last) step by 2."""
     n, (c0, c1) = op.grid.n_nodes, op.band
     n_rows, nb = op.mho_sl.shape
     _check_indices(n, 5 * n_rows * (nb + 1))
     T = max(c1 - 1, 0)  # t = 1 .. T
-    row = np.arange(n_rows)
-    s = row + 2 * c0
-    in_row = np.clip(s // 2 - 1, 0, T)
-    cell0 = np.cumsum(in_row) - in_row  # each row's first cell
-    C, N = int(in_row.sum()), n_rows * nb
-    # (first, last) of the cells and of the nodes of each row, each range's
-    # place in its part, and where a bound can bend: where t + E or x + xE
-    # (E = xE = n - 1 - s) passes a power of two, where x + xE - 1 does,
-    # and where 2x + 2 <= s or 2x > s starts to fail or hold
-    cells = (np.ones_like(s), np.minimum(T, s // 2 - 1))
-    nodes = (np.full_like(s, c0), np.full_like(s, c1))
-    none = np.empty((0, n_rows), int)
-    dyadic = 2 ** np.arange((2 * n).bit_length() + 1)[:, None] - (n - 1 - s)
-
-    def t_at(s, t):
-        return cell0[s - 2 * c0] + t - 1
-
-    def x_at(s, x):
-        return (s - 2 * c0) * nb + x - c0
+    in_row = np.clip(np.arange(2 * c0, 2 * c0 + n_rows) // 2 - 1, 0, T)
+    cell0 = np.concatenate(([0], np.cumsum(in_row)))  # each row's first cell
 
     # B covers t while min(l, m) > t, i.e. l <= cap; pairs up to last =
     # min(a, t) have e_i <= cap; sig is B's anchor pair (t where E + t < 1,
@@ -841,57 +875,88 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
         xE = n - 1 - s
         return np.where((x + xE >= 1) & (2 * x + 2 <= s), 2 * _pow2(x + xE) - xE + 1, n)
 
-    # per layout and part: plane, cells or nodes, step, pairs (i with j =
-    # s - i in the band), the terms of lo and hi, and where they bend: per
-    # cell A's l prefix, C's q range, B's b to cap and to top, w per i; SP
-    # at t+1 and per l at iota, B's capped and anchored P ranges, z per l;
-    # then the ranges of z, v and w (see _region_masses)
-    layouts = {
-        "loss": [(0, cells, 1, False, [lambda s, t: c0], [lambda s, t: t], none),
-                 (2, cells, 1, False, [lambda s, t: s - t], [lambda s, t: n + 1 - s + 2 * t], none),
-                 (1, cells, 1, False, [lambda s, t: t + 1], [lambda s, t: s - t - 1], none),
-                 (1, cells, 1, False, [lambda s, t: t + 1], [top], dyadic),
-                 (1, nodes, 1, False, [w_lo], [lambda s, x: n - 1 - s + 2 * x],
-                  np.vstack((dyadic, [s // 2])))],
-        "pairs": [(0, cells, 1, True, [lambda s, t: t + 1], [lambda s, t: t + n], none),
-                  (0, nodes, 2, True, [iota], [lambda s, x: c1 * (2 * x > s)], [s // 2 + 1]),
-                  (1, cells, 2, True, [lambda s, t: sig(s, t) + 1, lambda s, t: a(s, t) + 1],
-                   [lambda s, t: t], dyadic),
-                  (1, cells, 2, True, [lambda s, t: sig(s, t) + 1], [a, lambda s, t: t], dyadic),
-                  (1, nodes, 2, True, [iota], [z_hi], dyadic + 1)],
-        "zvw": [(0, cells, 1, False, [lambda s, t: t + 1], [top, lambda s, t: s - t - 1], dyadic),
-                (1, cells, 1, False, [lambda s, t: s - t, lambda s, t: n + 2 + 2 * t - s],
-                 [lambda s, t: s], none),
-                (2, cells, 2, True, [lambda s, t: sig(s, t) + 1], [a, lambda s, t: t], dyadic)]}
     # a range is clipped to where its row of a loss plane (or, for pairs,
     # of a pair plane) can be nonzero
     clips = {False: ([lambda s, x: c0, lambda s, x: s - n + 1],
                      [lambda s, x: c1, lambda s, x: s - 1]),
              True: ([lambda s, x: c0, lambda s, x: s - c1],
                     [lambda s, x: c1, lambda s, x: s // 2])}
-    out = {}
-    for name, parts in layouts.items():
-        pieces, bounds = [], np.cumsum([C if where is cells else N for _, where, *_ in parts])
-        for part, (plane, where, step, pairs, lo, hi, cuts) in enumerate(parts):
-            first, last = where
-            cuts = np.asarray(cuts)
-            place = t_at if where is cells else x_at
-            offset = bounds[part] - (C if where is cells else N)
-            rows, ss = row, s
-            if step == 2:  # each parity of t or x, row by row
-                rows, ss, last, cuts = (np.repeat(a, 2, axis=-1) for a in (row, s, last, cuts))
-                first = np.repeat(first, 2) + np.tile([0, 1], n_rows)
-            pieces.append(_lines(part, plane, rows, ss, first, last, step, lo + clips[pairs][0],
-                                 hi + clips[pairs][1],
-                                 [lambda s, x, place=place, o=offset: place(s, x) + o], cuts))
-        out[name] = _layout(pieces, c0, n_rows, tuple(bounds.tolist()), ())
-    return SimpleNamespace(shape=(n_rows, T), **out)
+
+    def block(rows: range) -> _Block:
+        row = np.arange(rows.start, rows.stop)
+        s = row + 2 * c0
+        C, N = int(cell0[rows.stop] - cell0[rows.start]), len(rows) * nb
+        # (first, last) of the cells and of the nodes of each row, each
+        # range's place in its part, and where a bound can bend: where t + E
+        # or x + xE (E = xE = n - 1 - s) passes a power of two, where
+        # x + xE - 1 does, and where 2x + 2 <= s or 2x > s starts to fail or
+        # hold
+        cells = (np.ones_like(s), np.minimum(T, s // 2 - 1))
+        nodes = (np.full_like(s, c0), np.full_like(s, c1))
+        none = np.empty((0, s.size), int)
+        dyadic = 2 ** np.arange((2 * n).bit_length() + 1)[:, None] - (n - 1 - s)
+
+        def t_at(s, t):
+            return cell0[s - 2 * c0] - cell0[rows.start] + t - 1
+
+        def x_at(s, x):
+            return (s - 2 * c0 - rows.start) * nb + x - c0
+
+        # per layout and part: plane, cells or nodes, step, pairs (i with j
+        # = s - i in the band), the terms of lo and hi, and where they bend:
+        # per cell A's l prefix, C's q range, B's b to cap and to top, w per
+        # i; SP at t+1 and per l at iota, B's capped and anchored P ranges,
+        # z per l; then the ranges of z, v and w (see _region_masses)
+        layouts = {
+            "loss": [(0, cells, 1, False, [lambda s, t: c0], [lambda s, t: t], none),
+                     (2, cells, 1, False, [lambda s, t: s - t],
+                      [lambda s, t: n + 1 - s + 2 * t], none),
+                     (1, cells, 1, False, [lambda s, t: t + 1], [lambda s, t: s - t - 1], none),
+                     (1, cells, 1, False, [lambda s, t: t + 1], [top], dyadic),
+                     (1, nodes, 1, False, [w_lo], [lambda s, x: n - 1 - s + 2 * x],
+                      np.vstack((dyadic, [s // 2])))],
+            "pairs": [(0, cells, 1, True, [lambda s, t: t + 1], [lambda s, t: t + n], none),
+                      (0, nodes, 2, True, [iota], [lambda s, x: c1 * (2 * x > s)],
+                       [s // 2 + 1]),
+                      (1, cells, 2, True, [lambda s, t: sig(s, t) + 1, lambda s, t: a(s, t) + 1],
+                       [lambda s, t: t], dyadic),
+                      (1, cells, 2, True, [lambda s, t: sig(s, t) + 1], [a, lambda s, t: t],
+                       dyadic),
+                      (1, nodes, 2, True, [iota], [z_hi], dyadic + 1)],
+            "zvw": [(0, cells, 1, False, [lambda s, t: t + 1], [top, lambda s, t: s - t - 1],
+                     dyadic),
+                    (1, cells, 1, False, [lambda s, t: s - t, lambda s, t: n + 2 + 2 * t - s],
+                     [lambda s, t: s], none),
+                    (2, cells, 2, True, [lambda s, t: sig(s, t) + 1], [a, lambda s, t: t],
+                     dyadic)]}
+        out = {}
+        for name, parts in layouts.items():
+            pieces, bounds = [], np.cumsum([C if where is cells else N for _, where, *_ in parts])
+            for part, (plane, where, step, pairs, lo, hi, cuts) in enumerate(parts):
+                first, last = where
+                cuts = np.asarray(cuts)
+                place = t_at if where is cells else x_at
+                offset = bounds[part] - (C if where is cells else N)
+                at, ss = row, s
+                if step == 2:  # each parity of t or x, row by row
+                    at, ss, last, cuts = (np.repeat(a, 2, axis=-1) for a in (row, s, last, cuts))
+                    first = np.repeat(first, 2) + np.tile([0, 1], len(rows))
+                pieces.append(_lines(part, plane, at, ss, first, last, step, lo + clips[pairs][0],
+                                     hi + clips[pairs][1],
+                                     [lambda s, x, place=place, o=offset: place(s, x) + o], cuts))
+            out[name] = _layout(pieces, c0, n_rows, rows, tuple(bounds.tolist()), ())
+        return _Block(rows, slice(int(cell0[rows.start]), int(cell0[rows.stop])), **out)
+
+    return SimpleNamespace(shape=(n_rows, T), blocks=tuple(
+        block(range(r, min(r + PRODUCTION_ROWS, n_rows)))
+        for r in range(0, n_rows, PRODUCTION_ROWS)))
 
 
-def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h (Omega^A + Omega^C) and h Omega^B at density g at each production cell:
-    the masses of deposits that move outward from s/2 (A, C: brackets >= 0)
-    and inward (B: brackets <= 0).
+def _region_masses(op: CollisionOperator, g: np.ndarray):
+    """Per block of production rows (see _production_cells): where its cells
+    sit among all production cells, and h (Omega^A + Omega^C) and h Omega^B
+    at density g at each of them: the masses of deposits that move outward
+    from s/2 (A, C: brackets >= 0) and inward (B: brackets <= 0).
 
     Omega^R_s(t) is the deposit mass of region R's interactions in row s
     whose bracket interval covers t: [l, i-1] in A, [i, min(l, m)-1] in B,
@@ -910,30 +975,61 @@ def _region_masses(op: CollisionOperator, g: np.ndarray) -> tuple[np.ndarray, np
     to 2x: w = P_x (b over 2X < y <= 2x).  X is the same for every T in
     [X, 2X), so z and w are one array per row.  Every sum is of nonnegative
     terms over a range of a row, and goes through _range_sums window by
-    window, on the operator's planes through windows of its own.
+    window, on the operator's planes through windows of its own.  A row's
+    sums read only that row, so a block is summed from its own layouts
+    into one buffer that the next block's sums overwrite: a call's working
+    set is one block.  The masses yielded are views of that buffer, valid
+    until the next block.
     """
-    c = op.production_cells
     nb = op.mho_sl.shape[1]
     _, _, (loss, pairs) = _planes(op, g)
-    pre, q, b_cap, b_top, w = _part_sums(loss, c.loss)
-    sp, sp_iota, p_cap, p_top, z = _part_sums(pairs, c.pairs)
+    kh = op.kw.c_q * op.grid.h ** 3
 
-    def times(fill, factor):  # the plane times a value per node (s, x)
-        factor = np.concatenate((factor, np.zeros(nb)))  # padded past the last row
+    def times(fill, out, bounds, part, start):
+        """The plane times part ``part`` of ``out`` (parts end at
+        ``bounds[1:]``), a value per node (s, x) of a block, and the nb
+        values after it: a window row reads past its row's last node only
+        in columns after all its ranges' ends, where any finite value
+        gives the same sums."""
+        factor = out[bounds[part]:bounds[part + 1] + nb]
 
         def scaled(rows, terms):
             fill(rows, terms)
             factors = _row_views(factor, terms.shape[1] - 1)
-            terms[rows.rows, 1:] *= factors[rows.row * nb + rows.first]
+            terms[rows.rows, 1:] *= factors[(rows.row - start) * nb + rows.first]
         return scaled
 
-    planes = [times(loss[1], z), times(loss[2], sp_iota), times(pairs[1], w)]
-    # the products first, so that the two layouts' outputs are freed before the third's
-    outward, cap, top = sp * (pre + q), p_cap * b_cap, p_top * b_top
-    del pre, q, b_cap, b_top, w, sp, sp_iota, p_cap, p_top, z
-    z, v, w = _part_sums(planes, c.zvw)
-    kh = op.kw.c_q * op.grid.h ** 3
-    return kh * (outward + v), kh * (z + cap + top + w)
+    # one allocation for the call, reused block by block: the windows'
+    # terms and prefix sums, then the loss and pair layouts' sums, each
+    # followed by nb zeros; zvw's three cell parts take the room of the
+    # loss sums' first three, which the products have read by then
+    blocks = op.production_cells.blocks
+    cells = _most_cells(layout for block in blocks for layout in block[2:])
+    sizes = [nb + max((layout.bounds[-1] for layout in kind), default=0)
+             for kind in ((block.loss for block in blocks), (block.pairs for block in blocks))]
+    buffer = np.empty(3 * cells + sum(sizes))
+    space = buffer[:3 * cells].reshape(3, cells)
+    loss_out, pairs_out = np.split(buffer[3 * cells:], [sizes[0]])
+    for block in blocks:
+        pre, q, b_cap, b_top, _ = _part_sums(loss, block.loss, space, loss_out)
+        sp, _, p_cap, p_top, _ = _part_sums(pairs, block.pairs, space, pairs_out)
+        lb, pb, start = (0,) + block.loss.bounds, (0,) + block.pairs.bounds, block.rows.start
+        loss_out[lb[-1]:lb[-1] + nb] = pairs_out[pb[-1]:pb[-1] + nb] = 0.0
+        planes = [times(loss[1], pairs_out, pb, 4, start), times(loss[2], pairs_out, pb, 1, start),
+                  times(pairs[1], loss_out, lb, 4, start)]  # z, sp_iota and w
+        # outward sp (pre + q) and inward p_cap b_cap + p_top b_top, in the
+        # pair sums' room, then plus zvw's v and z + w, in place
+        sp *= pre + q
+        p_cap *= b_cap
+        p_top *= b_top
+        z, v, w = _part_sums(planes, block.zvw, space, loss_out)
+        v += sp
+        z += p_cap
+        z += p_top
+        z += w
+        v *= kh
+        z *= kh
+        yield block.cells, v, z
 
 
 def _bracket_weights(op: CollisionOperator, D: np.ndarray) -> np.ndarray:
@@ -943,18 +1039,31 @@ def _bracket_weights(op: CollisionOperator, D: np.ndarray) -> np.ndarray:
     which makes an interaction's bracket phi_l + phi_m - phi_i - phi_j the
     sum of Delta over its bracket interval (see _region_masses), with the
     sign of its region: + in A and C, - in B.  Each row is summed outward
-    from s/2, so Delta is exactly 0 wherever D is.
+    from its last cell, t = T_s = min(T, s/2 - 1), by steps D_{t+1} +
+    D_{s-t-1} (D_{t+1} alone where t + 1 = s - t - 1), so Delta is exactly
+    0 wherever D is.  Those steps are read along D forward and backward, a
+    block of production rows at a time.
     """
-    n_rows, T = shape = op.production_cells.shape
-    c0 = op.band[0]
-    row, t = np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c0 + n_rows)[:, None])
-    t += 1
-    hi = row + 2 * c0 - t - 1
-    flat = row * T + t - 1
-    D = np.concatenate(([0.0], D, np.zeros(op.grid.n_nodes + 1)))  # D_0 .. D_2n-1
-    steps = np.zeros(shape)
-    steps.flat[flat] = D[t + 1] + np.where(t + 1 < hi, D[hi], 0.0)
-    return np.cumsum(steps[:, ::-1], axis=1)[:, ::-1].ravel()[flat]
+    c = op.production_cells
+    T, c0 = c.shape[1], op.band[0]
+    D = np.concatenate(([0.0], D, np.zeros(op.grid.n_nodes + 1 + T)))  # D_0, D_1, ...
+    back = np.concatenate((D[::-1], np.zeros(T + 1)))
+    out = np.empty(c.blocks[-1].cells.stop if c.blocks else 0)
+    for block in c.blocks:
+        s = np.arange(block.rows.start, block.rows.stop) + 2 * c0
+        last = np.clip(s // 2 - 1, 0, T)
+        K = int(last.max(initial=0))
+        if not K:
+            continue
+        # step k of a row is that of t = T_s - k
+        steps = _row_views(back, K)[D.size - 2 - last]  # D_{t+1}
+        ends = _row_views(D, K)[s - last - 1]  # D_{s-t-1}
+        ends[:, 0] = np.where(2 * last + 2 < s, ends[:, 0], 0.0)
+        steps += ends
+        np.cumsum(steps, axis=1, out=steps)
+        k = np.repeat(np.cumsum(last) - 1, last) - np.arange(block.cells.stop - block.cells.start)
+        out[block.cells] = steps.ravel()[np.repeat(np.arange(s.size) * K, last) + k]
+    return out
 
 
 def rhs(op: CollisionOperator, state: SpectrumState) -> np.ndarray:

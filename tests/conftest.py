@@ -249,15 +249,28 @@ def _stored_operator(op):
 
 
 def _stored_production(op):
-    """Convex production's three layouts stored range by range."""
+    """Convex production's three layouts stored range by range, per block of
+    solver.PRODUCTION_ROWS rows, each range's output its place in its block."""
     n, (c0, c1) = op.grid.n_nodes, op.band
     n_rows, nb = op.mho_sl.shape
     T = max(c1 - 1, 0)
-    row, t = (a.astype(np.int32) for a in
-              np.nonzero(2 * np.arange(2, T + 2) <= np.arange(2 * c0, 2 * c1 + 1)[:, None]))
-    t += 1
-    x_row, x = np.divmod(np.arange(n_rows * nb, dtype=np.int32), nb)
-    x += c0
+    blocks = []
+    for r0 in range(0, n_rows, solver.PRODUCTION_ROWS):
+        rows = np.arange(r0, min(r0 + solver.PRODUCTION_ROWS, n_rows))
+        row, t = (a.astype(np.int32) for a in
+                  np.nonzero(2 * np.arange(2, T + 2) <= (rows + 2 * c0)[:, None]))
+        row += r0
+        t += 1
+        x_row, x = np.divmod(np.arange(rows.size * nb, dtype=np.int32), nb)
+        x_row += r0
+        x += c0
+        blocks.append(_stored_block(n, c0, c1, n_rows, row, t, x_row, x))
+    return blocks
+
+
+def _stored_block(n, c0, c1, n_rows, row, t, x_row, x):
+    """One block's production layouts from its cells (row, t) and nodes
+    (x_row, x), row by row."""
     s, xs = row + 2 * c0, x_row + 2 * c0
     E, xE = n - 1 - s, n - 1 - xs
 
@@ -291,14 +304,15 @@ def _stored_production(op):
 
 
 def stored_layouts(op) -> dict:
-    """The operator's ``loss`` and ``gain`` and production's ``loss``,
-    ``pairs`` and ``zvw`` layouts, stored range by range: per window, its
-    shape, its rows (plane, slice, row, first, diagonal, half) and the set
-    of its ranges' (start, end, outputs...).
+    """The operator's ``loss`` and ``gain`` and, per block k of production's
+    rows, production's ``loss``, ``pairs`` and ``zvw`` layouts (``production
+    loss k`` ...), stored range by range: per window, its shape, its rows
+    (plane, slice, row, first, diagonal, half) and the set of its ranges'
+    (start, end, outputs...).
 
-    An output is the solver's: a production range's place in its layout's
-    output; a loss range's codes i + n part (+ 3n where i = j) and j; a gain
-    range's l + n part and m + n part.
+    An output is the solver's: a production range's place in its block's
+    layout's output; a loss range's codes i + n part (+ 3n where i = j) and
+    j; a gain range's l + n part and m + n part.
     """
     n = op.grid.n_nodes
     loss, (pi, pj), gain, (cl, cm) = _stored_operator(op)
@@ -313,8 +327,9 @@ def stored_layouts(op) -> dict:
             pi[at] + part * n + np.where(pi[at] == pj[at], 3 * n, 0), pj[at]))),
         "gain": (gain, codes(gain, lambda part, at: (cl[at] + part * n, cm[at] + part * n))),
     }
-    for name, layout in _stored_production(op).items():
-        layouts["production " + name] = (layout, (layout.keep,))
+    for k, block in enumerate(_stored_production(op)):
+        for name, layout in block.items():
+            layouts[f"production {name} {k}"] = (layout, (layout.keep,))
     out = {}
     for name, (layout, outputs) in layouts.items():
         columns = np.vstack((layout.ends, *outputs)).T.tolist()

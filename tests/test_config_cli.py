@@ -572,6 +572,20 @@ class TestImportGuard:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result == {"codes": [0, 0, 0], "scipy": []}
 
+    def test_simulate_with_an_out_directory_never_loads_openssl(self, run_dir):
+        # hashlib maps OpenSSL (_hashlib) into the process; only the default
+        # runs/<digest> directory needs it, so a run given --out never does
+        tmp_path, cfg_path = run_dir
+        probe = ("import sys\nfrom wavekin.cli import main\n"
+                 "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                 "print(code, '_hashlib' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(cfg_path), str(tmp_path / "sim")],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
 
 def _fast_verify_kernel(monkeypatch, bad_calls=()):
     """Make verify-kernel quick: equal-radii quadruples, except at the

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavekin import dispersion
 from wavekin.dispersion import (
     BracketError,
     DispersionRelation,
@@ -20,6 +21,7 @@ from wavekin.dispersion import (
     eval_omega,
     invert_omega,
 )
+from wavekin.solver import OmegaGrid
 
 
 def _pow_oracle(base: float, num: int, den: int) -> float:
@@ -134,6 +136,56 @@ class TestInvertOmega:
             # at an absolute bracket width of 1e-22 when r < 1e-6
             bound = 4.5e-16 + 2.0 ** -54 * abs(math.log(w)) + 1e-22 / r
             assert abs(r - invert_omega(bisected, w)) <= bound * r, w
+
+
+def _custom(omega, omega_prime, alpha, alpha_prime, c_lower, c_upper, c_mho, iota):
+    return DispersionRelation.custom(
+        omega=omega, omega_prime=omega_prime, alpha=alpha, alpha_prime=alpha_prime,
+        c_omega_lower=c_lower, c_omega_upper=c_upper, c_mho=c_mho, iota=iota)
+
+
+class TestCustomGrid:
+    @staticmethod
+    def _scalar_inverse(d: DispersionRelation, w: float) -> float:
+        """invert_omega's bracket, doubled until it holds w, and _bisect,
+        one node at a time."""
+        hi = max(1.0, (w / d.c_omega_lower) ** (1.0 / d.alpha))
+        while eval_omega(d, hi) < w:
+            hi *= 2.0
+        return _bisect(lambda x: eval_omega(d, x) - w, 0.0, hi)
+
+    @pytest.mark.parametrize("law", ["power 1.1", "power 1.5", "power 2", "r^1.5",
+                                     "r^2 + r^1.5"])
+    def test_radii_equal_scalar_bisection(self, law):
+        # the grid bisects every node at once; each radius keeps the bits
+        # of its own scalar bisection
+        d = {"power 1.1": lambda: TestInvertOmega._bisected_copy(1.1),
+             "power 1.5": lambda: TestInvertOmega._bisected_copy(1.5),
+             "power 2": lambda: TestInvertOmega._bisected_copy(2.0),
+             "r^1.5": lambda: _custom(lambda r: r ** 1.5, lambda r: 1.5 * r ** 0.5,
+                                      1.5, 1.5, 1.0, 1.0, 2.0 / 3.0, 0.5),
+             "r^2 + r^1.5": lambda: _custom(lambda r: r * r + r ** 1.5,
+                                            lambda r: 2.0 * r + 1.5 * r ** 0.5,
+                                            2.0, 1.5, 1.0, 2.0, 1.0, 0.0)}[law]()
+        for n_nodes, omega_max in ((257, 8.0), (96, 1e-3), (64, 1e4)):
+            grid = OmegaGrid(d, n_nodes, omega_max)
+            want = [0.0] + [self._scalar_inverse(d, w) for w in grid.omega[1:].tolist()]
+            assert np.array_equal(grid.r, want), (law, n_nodes)
+            assert invert_omega(d, float(grid.omega[7])) == grid.r[7]
+
+    def test_grid_bisects_all_nodes_at_once(self, monkeypatch):
+        # one node at a time took 130-160 evaluations per node; all at once,
+        # as many as the slowest node needs, each at every unfinished node
+        d = TestInvertOmega._bisected_copy(1.5)
+        calls = []
+
+        def counted(d, r):
+            calls.append(np.size(r))
+            return eval_omega(d, r)
+
+        monkeypatch.setattr(dispersion, "eval_omega", counted)
+        OmegaGrid(d, 257, 8.0)
+        assert len(calls) <= 400 and max(calls) == 256
 
 
 class TestBisect:

@@ -417,6 +417,66 @@ class TestCollisionOperator:
         assert build <= 16.0 * 2 ** 20
         assert call <= 3.0 * 2 ** 20
 
+    @staticmethod
+    def _production_peaks(n_nodes, d_quad):
+        """The tracemalloc peaks of the first production_weights (low_pass:2.0)
+        and of one convex_production call after it, at alpha = 2."""
+        grid = OmegaGrid(d_quad, n_nodes, 8.0)
+        op = build_operator(KernelWeights(), grid)
+        state = gaussian_bump(grid, center=4.0, width=0.6, amplitude=1.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            weights = production_weights(op, registry(["low_pass:2.0"]))
+            set_up = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            convex_production(op, state, weights)
+            call = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return set_up / 2 ** 20, call / 2 ** 20
+
+    def test_production_memory_at_1024_nodes(self, d_quad):
+        # with all rows at once, the set-up peaked at 85.3 MiB and a call
+        # at 175.6 MiB, O(#cells) outputs for each of 13 parts; blocks of
+        # PRODUCTION_ROWS rows need 16.2 MiB, 8.4 of them the kept weights,
+        # and 6.8 MiB
+        set_up, call = self._production_peaks(1024, d_quad)
+        assert set_up <= 20.0
+        assert call <= 10.0
+
+    def test_production_memory_at_128_nodes(self, d_quad):
+        # the cascade grid: all rows at once peaked at 3.3 and 2.7 MiB;
+        # blocks need 0.99 and 1.38 MiB
+        set_up, call = self._production_peaks(128, d_quad)
+        assert set_up <= 1.5
+        assert call <= 1.5
+
+    @pytest.mark.parametrize("n_nodes", [24, 64, 128])
+    @pytest.mark.parametrize("cutoff_n", [math.inf, 3.0])
+    def test_production_row_blocks_change_only_rounding(self, cutoff_n, n_nodes,
+                                                        monkeypatch):
+        # one row per block, the default, and every row in one block: only
+        # the order of the sums changes
+        grid = OmegaGrid(DispersionRelation.power_law(1.5), n_nodes, 8.0)
+        kw = KernelWeights(cutoff_n=cutoff_n)
+        table = build_kernel_table(kw, grid)
+        phis = registry(["low_pass:2.0", "quadratic", "band_cap:0.4"])
+        state = gaussian_bump(grid, center=4.0, width=0.6, amplitude=1.0)
+        got = []
+        for rows in (1, solver.PRODUCTION_ROWS, 2 * n_nodes):
+            monkeypatch.setattr(solver, "PRODUCTION_ROWS", rows)
+            op = build_operator(kw, grid)
+            got.append(convex_production(op, state, production_weights(op, phis)))
+        assert len(op.production_cells.blocks) == 1
+        for name, phi in phis.items():
+            want, want_scale, floor = table_production(table, state.g, phi(grid.omega))
+            (p1, s1), (p2, s2), (p3, s3) = (g[name] for g in got)
+            assert max(abs(p1 - p2), abs(p3 - p2)) <= 1e-13 * s2, name
+            assert max(abs(s1 - s2), abs(s3 - s2)) <= 1e-13 * s2, name
+            assert abs(p2 - want) <= 1e-12 * want_scale + floor, name
+
     def test_stored_state_grows_like_n(self, d_quad):
         # stored range ends and lists grew 4.0x from 256 to 512 nodes, as
         # n^2; the pieces grow 2.0x
@@ -513,9 +573,9 @@ def test_window_layouts(alpha, cutoff_n, n_nodes):
 
     _check_layout(op.loss, pair_row)
     _check_layout(op.gain, cell_row)
-    cells = op.production_cells
-    for layout in (cells.loss, cells.pairs, cells.zvw):
-        _check_layout(layout)
+    for block in op.production_cells.blocks:
+        for layout in (block.loss, block.pairs, block.zvw):
+            _check_layout(layout)
 
 
 @pytest.mark.parametrize("n_nodes", [24, 64, 128])
@@ -523,13 +583,25 @@ def test_window_layouts(alpha, cutoff_n, n_nodes):
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
 def test_pieces_list_the_stored_ranges(alpha, cutoff_n, n_nodes):
     # each window's pieces list the ranges that storing them one by one
-    # puts there, with the same outputs, in the same windows and rows
+    # puts there, with the same outputs, in the same windows and rows;
+    # production's, block by block of PRODUCTION_ROWS rows
     grid = OmegaGrid(DispersionRelation.power_law(alpha), n_nodes, 8.0)
     op = build_operator(KernelWeights(cutoff_n=cutoff_n), grid)
     cells = op.production_cells
-    layouts = {"loss": op.loss, "gain": op.gain, "production loss": cells.loss,
-               "production pairs": cells.pairs, "production zvw": cells.zvw}
-    for name, want in stored_layouts(op).items():
+    layouts = {"loss": op.loss, "gain": op.gain}
+    for k, block in enumerate(cells.blocks):
+        layouts.update({f"production {name} {k}": getattr(block, name)
+                        for name in ("loss", "pairs", "zvw")})
+    # blocks of PRODUCTION_ROWS rows, each with its rows' cells, t = 1 .. s/2 - 1
+    (n_rows, T), step = cells.shape, solver.PRODUCTION_ROWS
+    in_row = np.clip(np.arange(2 * op.band[0], 2 * op.band[0] + n_rows) // 2 - 1, 0, T)
+    first = np.concatenate(([0], np.cumsum(in_row))).tolist()
+    assert [(block.rows, block.cells) for block in cells.blocks] == [
+        (range(r, min(r + step, n_rows)), slice(first[r], first[min(r + step, n_rows)]))
+        for r in range(0, n_rows, step)]
+    want_layouts = stored_layouts(op)
+    assert set(want_layouts) == set(layouts)
+    for name, want in want_layouts.items():
         layout = layouts[name]
         assert len(layout.windows) == len(want), name
         for window, columns, (shape, rows, ranges) in zip(layout.windows,
