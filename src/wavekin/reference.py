@@ -31,8 +31,9 @@ CAP_POINTS = 2000
 #: Ball samples per vcone_mc estimate.
 VCONE_SAMPLES = 400_000
 
-# Samples per block of mollified_delta_mc's arithmetic: its temporaries stay
-# in cache, while the random draws keep their chunk sizes.
+# Samples per block of the Monte-Carlo oracles' arithmetic: a block's
+# uniforms and temporaries stay in cache, and only a chunk's normals are kept
+# at chunk length.
 _BLOCK_ROWS = 2 ** 14
 
 
@@ -45,6 +46,24 @@ def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     reduces no axis of length 3.
     """
     return np.sqrt(x * x + y * y + z * z)
+
+
+def _pairwise(leaf: Callable[[int, int], np.ndarray], lo: int, n: int) -> np.ndarray:
+    """Add ``leaf(a, m)`` over blocks of rows [lo, lo + n) in np.sum's order.
+
+    np.sum of a contiguous float64 array is NumPy's pairwise tree: a run of
+    n > 128 values is split after n//2 rounded down to a multiple of 8, and
+    the two halves' sums are added.  The blocks are that tree's nodes of at
+    most _BLOCK_ROWS rows, handed to ``leaf`` in row order; when ``leaf``
+    returns np.sum of its rows' values (or an array of such sums), the result
+    equals np.sum over all n values bit for bit.  Module-level, so no
+    recursive closure keeps a caller's arrays alive.
+    """
+    if n <= _BLOCK_ROWS:
+        return leaf(lo, n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, n - half)
 
 
 def sphere_manifold_oracle(
@@ -98,10 +117,13 @@ def mollified_delta_mc(
     result is deterministic for a fixed (seed, n_batches) pair and the spread
     across batches provides the error estimate, so ValueError is raised
     unless 2 <= n_batches <= n_samples and n_batches divides n_samples.
-    Each stream is drawn in chunks of up to 2M samples, and each chunk is
-    evaluated in blocks of _BLOCK_ROWS samples (``integrand`` is called once
-    per block, elementwise on an array of radii); every chunk's products are
-    summed at once, so the estimate does not depend on the block size.
+    Each stream is drawn in chunks of up to 2M samples: a chunk's normals
+    first, into one buffer kept for the call, then its uniforms a block at a
+    time.  The blocks are the nodes of at most _BLOCK_ROWS samples of
+    np.sum's pairwise tree over the chunk (``integrand`` is called once per
+    block, elementwise on an array of radii), and the block sums are added in
+    that tree's order, so each chunk sums exactly as np.sum of all its
+    products would, without keeping them.
     """
     if n_batches < 2:
         raise ValueError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
@@ -122,44 +144,42 @@ def mollified_delta_mc(
     eps1 = 0.03 * w_total
     eps2 = 0.5 * eps1
 
-    def chunk_sums(rng: np.random.Generator, take: int) -> Tuple[float, float]:
+    per_batch = n_samples // n_batches
+    chunk = 2_000_000
+    normals = np.empty((min(chunk, per_batch), 3))
+
+    def chunk_sums(rng: np.random.Generator, take: int) -> np.ndarray:
         """Sums of phi * delta_eps over ``take`` fresh samples, at both widths."""
-        normals = rng.normal(size=(take, 3))
-        uniforms = rng.uniform(size=(take, 1))
-        terms = np.empty((2, take))
-        for lo in range(0, take, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            u = normals[rows].T
-            rx = radius * uniforms[rows, 0] ** (1.0 / 3.0)
+        rng.standard_normal(out=normals[:take])
+
+        def block_sums(lo: int, m: int) -> np.ndarray:
+            u = normals[lo:lo + m].T
+            rx = radius * rng.uniform(size=m) ** (1.0 / 3.0)
             u_norm = _norm3(*u)
             # the components of gamma - x, x = rx * u / |u|
             a = [gj - rx * (uj / u_norm) for gj, uj in zip(gamma.tolist(), u)]
             g = eval_omega(d, _norm3(*a)) + eval_omega(d, rx) - w_total
             phi = integrand(rx)
-            for eps, out in zip((eps1, eps2), terms):
+            sums = np.empty(2)
+            for i, eps in enumerate((eps1, eps2)):
                 dens = np.exp(-0.5 * (g / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
-                np.multiply(phi, dens, out=out[rows])
-        return float(np.sum(terms[0])), float(np.sum(terms[1]))
+                sums[i] = np.sum(phi * dens)
+            return sums
 
-    per_batch = n_samples // n_batches
-    est1 = np.empty(n_batches)
-    est2 = np.empty(n_batches)
-    chunk = 2_000_000
+        return _pairwise(block_sums, 0, take)
+
+    est = np.empty((n_batches, 2))
     for b in range(n_batches):
         rng = np.random.default_rng([seed, b])
-        s1 = 0.0
-        s2 = 0.0
+        sums = np.zeros(2)
         left = per_batch
         while left > 0:
             take = min(chunk, left)
             left -= take
-            t1, t2 = chunk_sums(rng, take)
-            s1 += t1
-            s2 += t2
-        est1[b] = volume * s1 / per_batch
-        est2[b] = volume * s2 / per_batch
+            sums += chunk_sums(rng, take)
+        est[b] = volume * sums / per_batch
 
-    extrap = (4.0 * est2 - est1) / 3.0
+    extrap = (4.0 * est[:, 1] - est[:, 0]) / 3.0
     stderr = float(np.std(extrap, ddof=1) / math.sqrt(n_batches))
     return float(np.mean(extrap)), stderr
 
@@ -207,18 +227,26 @@ def vcone_mc(
 
     Counts the VCONE_SAMPLES uniform ball samples satisfying the membership
     inequality with sigma the z axis; returns (volume estimate, standard
-    error).
+    error).  All the normals are drawn first, one array per block of
+    _BLOCK_ROWS samples, then the uniforms and the hits a block at a time.
+    Block-sized arrays, not one 9.6 MB array: once a freed array has raised
+    glibc's mmap threshold, a later call's 9.6 MB would come from the heap
+    and stay resident after the call.
     """
     if not R > 0.0:
         raise ValueError(f"R must be positive, got {R}")
     if not 0.0 <= rho <= R:
         raise ValueError(f"rho must lie in [0, R], got {rho}")
     rng = np.random.default_rng([seed, 0])
-    u = rng.normal(size=(VCONE_SAMPLES, 3)).T
-    rad = R * rng.uniform(size=(VCONE_SAMPLES, 1))[:, 0] ** (1.0 / 3.0)
-    u_norm = _norm3(*u)
-    x = [rad * (uj / u_norm) for uj in u]
-    hits = int(np.count_nonzero(x[2] >= _norm3(*x) * rho / R))
+    blocks = [rng.normal(size=(min(_BLOCK_ROWS, VCONE_SAMPLES - lo), 3))
+              for lo in range(0, VCONE_SAMPLES, _BLOCK_ROWS)]
+    hits = 0
+    for normals in blocks:
+        u = normals.T
+        rad = R * rng.uniform(size=len(normals)) ** (1.0 / 3.0)
+        u_norm = _norm3(*u)
+        x = [rad * (uj / u_norm) for uj in u]
+        hits += int(np.count_nonzero(x[2] >= _norm3(*x) * rho / R))
     p = hits / VCONE_SAMPLES
     ball = 4.0 / 3.0 * math.pi * R ** 3
     stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / VCONE_SAMPLES) * ball

@@ -653,3 +653,14 @@ class TestVerifyCommands:
             "pair-production root residual",
             "manifold quadrature vs sphere form (alpha=2)",
             "manifold quadrature vs mollified MC (alpha=1.5)"]
+
+    def test_verify_geometry_memory(self, clean_env, capsys):
+        # the Monte-Carlo oracles keep only their normals (22.9 MiB per chunk
+        # here); with whole-chunk uniforms and products this peaked at 47.5 MiB
+        tracemalloc.start()
+        try:
+            assert main(["verify-geometry", "--seed", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 2 ** 20

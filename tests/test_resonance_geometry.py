@@ -15,6 +15,8 @@ import pytest
 from wavekin.cli import check_covering, check_spreading_root
 from wavekin.dispersion import DispersionRelation, eval_omega
 from wavekin.reference import (
+    _BLOCK_ROWS,
+    _pairwise,
     cap_coverage_mc,
     mollified_delta_mc,
     sphere_manifold_oracle,
@@ -422,9 +424,31 @@ class TestMonteCarloStreams:
         got = cap_coverage_mc(0.1, 44, n_experiments=60, seed=1)
         assert got == (0.9917166666666668, 0.0012074022323398015)
 
+    def test_mollified_delta_mc_spans_chunks(self, d_mid):
+        # 2.5M samples per batch: a 2M chunk and a 0.5M chunk from one stream
+        got = mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3],
+                                 lambda r: 1 + r, n_samples=5_000_000, seed=3,
+                                 n_batches=2)
+        assert got == (5.298418664896985, 0.029063431442704953)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2 ** 14 - 1, 2 ** 14,
+                                   2 ** 14 + 1, 125_000, 10 ** 6, 2 * 10 ** 6])
+    def test_block_sums_add_up_as_np_sum(self, n):
+        # pins NumPy's pairwise order, which keeps the chunk sums frozen
+        # without storing the products
+        x = 10.0 ** np.random.default_rng(n).uniform(-4.0, 4.0, n)
+        blocks = []
+
+        def leaf(lo, m):
+            blocks.append(m)
+            return np.sum(x[lo:lo + m])
+
+        assert _pairwise(leaf, 0, n) == np.sum(x)
+        assert sum(blocks) == n and max(blocks) <= _BLOCK_ROWS
+
     def test_mollified_delta_mc_working_set(self, d_mid):
-        # whole-chunk temporaries peaked at 145 MiB here; blocks keep only the
-        # draws and two rows of products at chunk length
+        # whole-chunk temporaries peaked at 145 MiB here; now only one chunk's
+        # normals are kept at chunk length
         tracemalloc.start()
         try:
             mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3],
@@ -434,3 +458,26 @@ class TestMonteCarloStreams:
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2 ** 20
+
+    def test_mollified_delta_mc_keeps_only_the_normals(self, d_mid):
+        # one batch's normals are 22.9 MiB; keeping its uniforms and products
+        # as well peaked at 47.3 MiB
+        peak = _traced_peak(lambda: mollified_delta_mc(
+            d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3], lambda r: 1 + r,
+            n_samples=2_000_000, seed=5, n_batches=2))
+        assert peak <= 26 * 2 ** 20
+
+    def test_vcone_mc_keeps_only_the_normals(self):
+        # the normals are 9.2 MiB; full-length uniforms, radii and points
+        # peaked at 30.5 MiB
+        assert _traced_peak(lambda: vcone_mc(2.0, 1.5, seed=2)) <= 12 * 2 ** 20
+
+
+def _traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
