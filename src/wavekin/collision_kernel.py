@@ -29,6 +29,7 @@ returning a silently wrong value outside it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +72,17 @@ class KernelWeights:
             )
 
 
-def _check_nonneg(*radii: float) -> None:
+def _check_nonneg(*radii: float) -> tuple:
+    """The radii as floats, each checked to be a finite, nonnegative real."""
     for x in radii:
-        if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
+        if not (isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0.0):
             raise ValueError(f"radii must be finite and nonnegative, got {radii}")
+    return tuple(map(float, radii))
 
 
 def four_sine_closed_form(r1: float, r2: float, r3: float, r: float) -> float:
     """Exact value of the four-sine product integral for any radii >= 0."""
-    _check_nonneg(r1, r2, r3, r)
-    a, b, c, d = r1, r2, r3, r
+    a, b, c, d = _check_nonneg(r1, r2, r3, r)
     s = (
         -abs(a + b + c + d)
         + abs(a + b + c - d)
@@ -103,7 +105,7 @@ def min_identity(r1: float, r2: float, r3: float, r: float) -> float:
     than (pi/4)*min and this function raises rather than agree to a wrong
     identity.
     """
-    _check_nonneg(r1, r2, r3, r)
+    r1, r2, r3, r = _check_nonneg(r1, r2, r3, r)
     val = (math.pi / 4.0) * min(r1, r2, r3, r)
     eight = four_sine_closed_form(r1, r2, r3, r)
     if abs(eight - val) > 1e-12 * max(1.0, val):
@@ -130,7 +132,7 @@ def sine_integral_oracle(
     than 4,000,000 panels (a radius sum above about 1257).  The discarded
     tail is bounded by int_tail 1/x^2 = 1/TAIL_CUT = 1e-4 in absolute value.
     """
-    _check_nonneg(r1, r2, r3, r)
+    r1, r2, r3, r = _check_nonneg(r1, r2, r3, r)
     if min(r1, r2, r3, r) == 0.0:
         return 0.0  # one sine factor is identically zero
 

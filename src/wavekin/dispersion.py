@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,7 +64,7 @@ class DispersionRelation:
     @classmethod
     def power_law(cls, alpha: float) -> "DispersionRelation":
         """omega(r) = r**alpha with alpha in (1, 2]."""
-        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+        if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
             raise ValueError(f"alpha must be a finite number, got {alpha!r}")
         if not 1.0 < alpha <= 2.0:
             raise ValueError(
@@ -237,7 +238,7 @@ def invert_omega(d: DispersionRelation, w: float) -> float:
     bisection (see _invert_custom).  Either way the result satisfies
     |omega(r) - w| <= 1e-12 * max(1, w).
     """
-    if not (isinstance(w, (int, float)) and math.isfinite(w)):
+    if not (isinstance(w, numbers.Real) and math.isfinite(w)):
         raise ValueError(f"target frequency must be finite, got {w!r}")
     w = float(w)
     if w < 0.0:

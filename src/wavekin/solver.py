@@ -39,6 +39,10 @@ block by block of rows, each block with layouts of its own, so that its
 working set is one block too.
 The O(n^3) KernelTable (build_kernel_table) lists the interactions one by
 one; no run builds it, and the tests keep it as the operator's reference.
+Both stay in the package because the benchmark's traced span list
+(bench/child.py) binds wavekin.solver.build_kernel_table, and a traced run
+exits 3 when a name it lists is missing; ROADMAP item 1 moves them, with
+the benchmark's span, into the tests.
 """
 
 from __future__ import annotations
@@ -303,9 +307,9 @@ class _Pieces(NamedTuple):
     _generate."""
 
     count: np.ndarray  # ranges per piece
-    lines: np.ndarray  # int32: the step along a piece of each column without a
-    #                    layout step, then each column's value at the batch's
-    #                    range 0 on the piece's line
+    lines: np.ndarray  # int32: the step along a piece of each column, then
+    #                    each column's value at the batch's range 0 on the
+    #                    piece's line
     size: int          # ranges in the batch
 
 
@@ -321,9 +325,8 @@ class _Window(NamedTuple):
 class _Windows(NamedTuple):
     """One row-window layout of range sums (see _layout)."""
 
-    windows: tuple     # of _Window
-    bounds: tuple      # where each part ends in the output of _part_sums
-    steps: np.ndarray  # int32: the steps of the last outputs along every piece
+    windows: tuple  # of _Window
+    bounds: tuple   # where each part ends in the output of _part_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +348,8 @@ class CollisionOperator:
     of row s, one per loss plane, and the gain at a cell (s, l) three i
     ranges of pair planes.  A value of s - l (or of s - i) is constant along
     a diagonal, so ``mho_d`` and ``rmho_d`` hold one value per diagonal, in
-    the order a row meets them, then nb zeros (see mho_sl).
+    the order a row meets them, then nb zeros: row r of a plane meets
+    mho_d[n_rows - 1 - r:][:nb] (see _plane_shape).
 
     No plane is stored whole.  A row of a plane is stored from the first
     column any of its ranges reaches to the last, and a window is a set of
@@ -355,14 +359,15 @@ class CollisionOperator:
     and C ranges of every pair and of every cell (see _layout).  No range
     is stored either: along a row, a range's ends and its pair or cell step
     by constants except at a few places, so a window keeps affine pieces
-    (see _lines).  An evaluation fills a window, lists its ranges a batch
+    (see _lines), each column of a piece, ends and outputs alike, a value
+    and a slope.  An evaluation fills a window, lists its ranges a batch
     at a time (_generate), takes their sums while it is in cache and adds
     them into n-long gains and losses, so its working set is one window,
     of cells and of ranges, and the stored state is O(n).  A range is
     still the difference of two Sum2 prefix sums along one row of
     nonnegative terms, of a row that starts at its own first reached
     column, so its prefix total can only shrink; the row length in the
-    a-priori bound of _range_sums is the window's width, at most the
+    a-priori bound of _certified_sums is the window's width, at most the
     band's.  So RANGE_RTOL certifies each range, or sends it to direct
     summation, as before.  A loss range's outputs are the codes i + n part
     (plus 3n where i = j) and j, a gain range's l + n part and m + n part,
@@ -380,19 +385,19 @@ class CollisionOperator:
     loss: _Windows = field(repr=False)
     gain: _Windows = field(repr=False)
 
-    @property
-    def mho_sl(self) -> np.ndarray:
-        """The (rows, band) matrix mho_{s-l}, a view of ``mho_d``: row r
-        holds mho_d[n_rows - 1 - r:][:nb], which sets the planes' shape."""
-        nb = max(self.band[1] - self.band[0] + 1, 0)
-        return _row_views(self.mho_d, nb)[:max(2 * nb - 1, 0)][::-1]
-
     @functools.cached_property
     def production_cells(self) -> SimpleNamespace:
         """Where convex production reads the planes, block by block of rows
         (see _production_cells), so a production call's working set is one
         block; built on first use, as no other evaluation needs it."""
         return _production_cells(self)
+
+
+def _plane_shape(band: tuple[int, int]) -> tuple[int, int]:
+    """(n_rows, nb) of the planes over ``band``: rows s = 2 c0 .. 2 c1 and
+    the band's nodes."""
+    nb = max(band[1] - band[0] + 1, 0)
+    return max(2 * nb - 1, 0), nb
 
 
 def _check_indices(n: int, count: int) -> None:
@@ -410,10 +415,9 @@ def _row_views(values: np.ndarray, width: int) -> np.ndarray:
 #: Ranges per batch of a window: a batch's ranges are listed, summed and
 #: added up at once, in a core's cache.
 _BATCH = 2 ** 13
-def _layout(pieces: list, c0: int, n_rows: int, rows: range, bounds: tuple,
-            steps: tuple) -> _Windows:
-    """The window layout of CollisionOperator for ``pieces`` (of _lines,
-    all cut with ``steps``) of the planes' ``rows``.
+def _layout(pieces: list, c0: int, n_rows: int, rows: range, bounds: tuple) -> _Windows:
+    """The window layout of CollisionOperator for ``pieces`` (of _lines) of
+    the planes' ``rows``.
 
     Each (plane, row) is stored from the first column its ranges reach to
     the last.  The rows are sorted by that length, longest first (a stable
@@ -426,11 +430,9 @@ def _layout(pieces: list, c0: int, n_rows: int, rows: range, bounds: tuple,
     _BATCH ranges.  ``bounds`` are where each part ends in the output.  The
     layout's arrays are read-only.
     """
-    steps = np.array(steps, np.int32)
-    steps.flags.writeable = False
     part, plane, row, count, first, slope = (np.concatenate(a, axis=-1) for a in zip(*pieces))
     if not count.size:
-        return _Windows((), bounds, steps)
+        return _Windows((), bounds)
     last = first[:2] + slope[:2] * (count - 1)
     key = plane * len(rows) + row - rows.start
     n_keys = len(rows) * (1 + int(plane.max(initial=0)))
@@ -480,15 +482,13 @@ def _layout(pieces: list, c0: int, n_rows: int, rows: range, bounds: tuple,
     new = np.flatnonzero((np.diff(at) != 0) | (np.diff(before // _BATCH) != 0)) + 1
     heads = np.concatenate(([0], new))
     before -= np.repeat(before[heads], np.diff(np.append(heads, at.size)))  # and in its batch
-    g = first.shape[0] - steps.size  # the columns with a step per piece
-    lines = np.concatenate((slope[:g], first[:g] - slope[:g] * before,
-                            first[g:] - steps[:, None] * before)).astype(np.int32)
+    lines = np.concatenate((slope, first - slope * before)).astype(np.int32)
     count.flags.writeable = lines.flags.writeable = False
     batches = [[] for _ in shapes]
     for h, n_k, lines_k in zip(heads.tolist(), np.split(count, new), np.split(lines, new, axis=1)):
         batches[at[h]].append(_Pieces(n_k, lines_k, int(n_k.sum())))
     return _Windows(tuple(_Window(*window) for window in zip(shapes, map(tuple, rows),
-                                                             map(tuple, batches))), bounds, steps)
+                                                             map(tuple, batches))), bounds)
 
 
 def _lines(part: int, plane: int, row, s, first, last, step: int, lo: list, hi: list,
@@ -558,8 +558,7 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     mho_{s-l} diagonals, all over the radius band."""
     n = grid.n_nodes
     c0, c1 = band = _band(kw, grid)
-    nb = max(c1 - c0 + 1, 0)
-    n_rows = max(2 * nb - 1, 0)
+    n_rows, nb = _plane_shape(band)
     _check_indices(n, 3 * n_rows * (nb + 1))
 
     # s - x on each diagonal, from the row's first column on, then nb zeros
@@ -615,27 +614,21 @@ def build_operator(kw: KernelWeights, grid: OmegaGrid) -> CollisionOperator:
     rows = range(n_rows)
     op = CollisionOperator(grid=grid, kw=kw, band=band, n_entries=n_entries,
                            mho_d=mho_d, rmho_d=rmho_d,
-                           loss=_layout(loss, c0, n_rows, rows, (), (1, -1)),
-                           gain=_layout(gain, c0, n_rows, rows, (), (2, -2)))
+                           loss=_layout(loss, c0, n_rows, rows, ()),
+                           gain=_layout(gain, c0, n_rows, rows, ()))
     op.mho_d.flags.writeable = op.rmho_d.flags.writeable = False
     return op
 
 
-def _prefix_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sum2(terms: np.ndarray, S: np.ndarray, E: np.ndarray) -> None:
     """Sum2 row prefix sums of nonnegative ``terms`` (Ogita, Rump & Oishi
-    2005): np.cumsum S, and the cumulative sum E of each step's exact error.
+    2005) into S and E: np.cumsum S, and the cumulative sum E of each
+    step's exact error.
 
     S runs left to right, so each step is t = fl(p + x) with p, x >= 0, and
     its error is Fast2Sum's min(p, x) - (t - max(p, x)), exact because the
     larger summand goes first: the same bits as TwoSum, in fewer passes.
     """
-    S, E = np.empty_like(terms), np.empty_like(terms)
-    _sum2(terms, S, E)
-    return S, E
-
-
-def _sum2(terms: np.ndarray, S: np.ndarray, E: np.ndarray) -> None:
-    """_prefix_sums of ``terms`` into S and E."""
     np.cumsum(terms, axis=-1, out=S)
     E[..., 0] = 0.0
     prev, x, err = S[..., :-1], terms[..., 1:], E[..., 1:]
@@ -647,22 +640,16 @@ def _sum2(terms: np.ndarray, S: np.ndarray, E: np.ndarray) -> None:
     np.cumsum(E, axis=-1, out=E)
 
 
-def _range_sums(terms: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _certified_sums(terms: np.ndarray, S: np.ndarray, E: np.ndarray,
+                    ends: np.ndarray) -> np.ndarray:
     """Sum of terms.flat[a+1 .. b] for each column (a, b) of ``ends``.
 
     ``terms`` is nonnegative, with a zero first column, and every range lies
-    in one row.  The sums are differences of the Sum2 row prefix sums S + E
-    of _prefix_sums (see _certified_sums).
-    """
-    return _certified_sums(terms, *(a.ravel() for a in _prefix_sums(terms)), ends)
-
-
-def _certified_sums(terms: np.ndarray, S: np.ndarray, E: np.ndarray,
-                    ends: np.ndarray) -> np.ndarray:
-    """The range sums of _range_sums from the flat prefix sums S and E of
-    ``terms``.  A range whose a-priori bound u|v| + gamma_k^2 S_b (k the row
-    length, S_b the prefix total) exceeds RANGE_RTOL of its value v is
-    summed directly from its terms instead.
+    in one row.  A sum is the difference (S_b - S_a) + (E_b - E_a) of the
+    flat Sum2 row prefix sums S and E of ``terms`` (see _sum2).  A range
+    whose a-priori bound u|v| + gamma_k^2 S_b (k the row length, S_b the
+    prefix total) exceeds RANGE_RTOL of its value v is summed directly from
+    its terms instead.
     """
     k = terms.shape[-1] - 1
     start, end = ends
@@ -682,21 +669,15 @@ def _certified_sums(terms: np.ndarray, S: np.ndarray, E: np.ndarray,
     return v
 
 
-def _generate(pieces: _Pieces, steps: np.ndarray) -> list:
+def _generate(pieces: _Pieces) -> list:
     """A batch's ranges from its pieces: their columns (start, end,
     outputs...), each intp, each a piece's line at 0, 1, 2, ... from
-    np.repeat in int32, the last len(steps) by ``steps``."""
-    g = (pieces.lines.shape[0] - steps.size) // 2  # the columns with a step per piece
-    ramp = np.arange(pieces.size, dtype=np.int32)
+    np.repeat in int32."""
+    g = pieces.lines.shape[0] // 2
     lines = np.repeat(pieces.lines[:g], pieces.count, axis=1)
-    lines *= ramp
-    lines += np.repeat(pieces.lines[g:2 * g], pieces.count, axis=1)
-    columns = [column.astype(np.intp) for column in lines]
-    if steps.size:
-        lines = np.repeat(pieces.lines[2 * g:], pieces.count, axis=1)
-        lines += np.multiply.outer(steps, ramp)
-        columns += [column.astype(np.intp) for column in lines]
-    return columns
+    lines *= np.arange(pieces.size, dtype=np.int32)
+    lines += np.repeat(pieces.lines[g:], pieces.count, axis=1)
+    return [column.astype(np.intp) for column in lines]
 
 
 def _most_cells(layouts) -> int:
@@ -725,7 +706,7 @@ def _window_sums(planes, layout: _Windows, space: np.ndarray):
         _sum2(terms, S, E)
         S, E = S.ravel(), E.ravel()
         for pieces in batches:
-            start, end, *outs = _generate(pieces, layout.steps)
+            start, end, *outs = _generate(pieces)
             v = _certified_sums(terms, S, E, (start, end))
             del start, end
             yield v, outs
@@ -750,7 +731,7 @@ def _planes(op: CollisionOperator, g: np.ndarray):
     c0, c1 = op.band
     gb = g[c0:c1 + 1]
     ab = gb / op.grid.r[c0:c1 + 1]
-    n_rows, nb = op.mho_sl.shape
+    n_rows, nb = _plane_shape(op.band)
     # g and a, then 2 a_{s-i} by diagonal, each padded with zeros past a row
     # that starts at the band's last node
     g_pad, a_pad, two_a = np.zeros((3, n_rows + 2 * nb))
@@ -845,7 +826,7 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
     flips; parts whose ends alternate with the parity of t or x (through
     iota and last) step by 2."""
     n, (c0, c1) = op.grid.n_nodes, op.band
-    n_rows, nb = op.mho_sl.shape
+    n_rows, nb = _plane_shape(op.band)
     _check_indices(n, 5 * n_rows * (nb + 1))
     T = max(c1 - 1, 0)  # t = 1 .. T
     in_row = np.clip(np.arange(2 * c0, 2 * c0 + n_rows) // 2 - 1, 0, T)
@@ -944,7 +925,7 @@ def _production_cells(op: CollisionOperator) -> SimpleNamespace:
                 pieces.append(_lines(part, plane, at, ss, first, last, step, lo + clips[pairs][0],
                                      hi + clips[pairs][1],
                                      [lambda s, x, place=place, o=offset: place(s, x) + o], cuts))
-            out[name] = _layout(pieces, c0, n_rows, rows, tuple(bounds.tolist()), ())
+            out[name] = _layout(pieces, c0, n_rows, rows, tuple(bounds.tolist()))
         return _Block(rows, slice(int(cell0[rows.start]), int(cell0[rows.stop])), **out)
 
     return SimpleNamespace(shape=(n_rows, T), blocks=tuple(
@@ -974,14 +955,14 @@ def _region_masses(op: CollisionOperator, g: np.ndarray):
     every y in (T, min(2X, Y)], and beyond 2X up to Y where 2x > Y, else up
     to 2x: w = P_x (b over 2X < y <= 2x).  X is the same for every T in
     [X, 2X), so z and w are one array per row.  Every sum is of nonnegative
-    terms over a range of a row, and goes through _range_sums window by
+    terms over a range of a row, and goes through _certified_sums window by
     window, on the operator's planes through windows of its own.  A row's
     sums read only that row, so a block is summed from its own layouts
     into one buffer that the next block's sums overwrite: a call's working
     set is one block.  The masses yielded are views of that buffer, valid
     until the next block.
     """
-    nb = op.mho_sl.shape[1]
+    nb = _plane_shape(op.band)[1]
     _, _, (loss, pairs) = _planes(op, g)
     kh = op.kw.c_q * op.grid.h ** 3
 

@@ -136,7 +136,7 @@ def window_ranges(layout):
     rows (start, end, outputs...) of every batch, side by side."""
     out = []
     for window in layout.windows:
-        out.append(np.concatenate([solver._generate(pieces, layout.steps)
+        out.append(np.concatenate([solver._generate(pieces)
                                    for pieces in window.batches], axis=1))
     return out
 
@@ -223,7 +223,7 @@ def _stored_operator(op):
     """The operator's loss and gain layouts stored range by range, and each
     part's pairs (i, j) and cells (l, m)."""
     n, (c0, c1) = op.grid.n_nodes, op.band
-    n_rows, nb = op.mho_sl.shape
+    n_rows, nb = solver._plane_shape(op.band)
     s = np.arange(2 * c0, 2 * c0 + n_rows, dtype=np.int32)[:, None]
     x = np.arange(c0, c0 + nb, dtype=np.int32)[None, :]
     row, col = (a.astype(np.int32) for a in np.nonzero((s - x >= x) & (s - x <= c1)))
@@ -252,7 +252,7 @@ def _stored_production(op):
     """Convex production's three layouts stored range by range, per block of
     solver.PRODUCTION_ROWS rows, each range's output its place in its block."""
     n, (c0, c1) = op.grid.n_nodes, op.band
-    n_rows, nb = op.mho_sl.shape
+    n_rows, nb = solver._plane_shape(op.band)
     T = max(c1 - 1, 0)
     blocks = []
     for r0 in range(0, n_rows, solver.PRODUCTION_ROWS):

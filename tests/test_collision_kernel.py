@@ -66,6 +66,16 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             sine_integral_oracle(1.0, -1.0, 1.0, 1.0)
 
+    def test_numpy_scalar_radii_accepted(self):
+        # radii and frequencies as NumPy scalars give the floats' values
+        radii = (np.float32(0.5), np.int64(2), np.float64(1.25), 1.0)
+        assert four_sine_closed_form(*radii) == four_sine_closed_form(0.5, 2.0, 1.25, 1.0)
+        d = DispersionRelation.power_law(1.5)
+        assert xi_weight(d, np.float32(1.0), 1.0, 1.0, 1.0) == xi_weight(d, 1.0, 1.0, 1.0, 1.0)
+        for bad in (np.float32("nan"), "1.0", np.int64(-1)):
+            with pytest.raises(ValueError, match="radii must be finite and nonnegative"):
+                four_sine_closed_form(bad, 1.0, 1.0, 1.0)
+
     def test_radii_beyond_the_panel_budget_rejected(self):
         with pytest.raises(ValueError, match="panel budget"):
             sine_integral_oracle(400.0, 400.0, 400.0, 400.0)

@@ -103,6 +103,16 @@ class TestInvertOmega:
         with pytest.raises(ValueError):
             invert_omega(d_quad, -4.0)
 
+    def test_numpy_scalars_accepted(self, d_quad):
+        # a finite NumPy scalar is a real number; a value that is not finite,
+        # numeric and nonnegative keeps its message
+        for w in (np.int64(2), np.float32(2.0)):
+            assert invert_omega(d_quad, w) == invert_omega(d_quad, 2.0)
+        for bad, message in ((math.nan, "must be finite"), (np.float32("inf"), "must be finite"),
+                             ("2", "must be finite"), (np.int64(-2), "must be nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                invert_omega(d_quad, bad)
+
     @settings(max_examples=200, deadline=None)
     @given(
         r=st.floats(min_value=1e-3, max_value=1e3),
@@ -235,6 +245,15 @@ class TestAssumptions:
     def test_alpha_out_of_range_rejected(self):
         for bad in (1.0, 2.5, 0.5, -1.0):
             with pytest.raises(ValueError):
+                DispersionRelation.power_law(bad)
+
+    def test_numpy_scalar_alpha_accepted(self):
+        for alpha in (np.float32(1.5), np.int64(2)):
+            d = DispersionRelation.power_law(alpha)
+            assert (d.alpha, d.iota) == (float(alpha), 2.0 - float(alpha))
+        for bad, message in ((np.float64("nan"), "finite number"), ("1.5", "finite number"),
+                             (np.float32(2.5), "must lie in")):
+            with pytest.raises(ValueError, match=message):
                 DispersionRelation.power_law(bad)
 
     def test_sublinear_growth_names_the_bound(self):

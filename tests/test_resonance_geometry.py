@@ -446,22 +446,10 @@ class TestMonteCarloStreams:
         assert _pairwise(leaf, 0, n) == np.sum(x)
         assert sum(blocks) == n and max(blocks) <= _BLOCK_ROWS
 
-    def test_mollified_delta_mc_working_set(self, d_mid):
-        # whole-chunk temporaries peaked at 145 MiB here; now only one chunk's
-        # normals are kept at chunk length
-        tracemalloc.start()
-        try:
-            mollified_delta_mc(d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3],
-                               lambda r: 1 + r, n_samples=2_000_000, seed=5,
-                               n_batches=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 100 * 2 ** 20
-
     def test_mollified_delta_mc_keeps_only_the_normals(self, d_mid):
         # one batch's normals are 22.9 MiB; keeping its uniforms and products
-        # as well peaked at 47.3 MiB
+        # as well peaked at 47.3 MiB, and whole-chunk temporaries before
+        # that at 145 MiB
         peak = _traced_peak(lambda: mollified_delta_mc(
             d_mid, [0.9, 0.1, 0.0], [-0.2, 0.8, 0.3], lambda r: 1 + r,
             n_samples=2_000_000, seed=5, n_batches=2))

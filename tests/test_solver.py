@@ -314,7 +314,7 @@ class TestCollisionOperator:
             worst = max(worst, _worst_oracle_gap(op, table, g))
         assert worst <= 1e-12
 
-    def test_range_sums_are_certified(self):
+    def test_certified_sums_match_fsum(self):
         # rows spanning 40 decades, against exactly rounded sums
         rng = np.random.default_rng(11)
         terms = 10.0 ** rng.uniform(-40.0, 0.0, (2, 6, 201))
@@ -323,7 +323,9 @@ class TestCollisionOperator:
         hi = np.minimum(lo + rng.integers(1, 200, 3000), 200)
         row = rng.integers(0, 12, 3000) * 201
         ends = np.stack([row + lo, row + hi]).astype(np.int32)
-        got = solver._range_sums(terms, ends)
+        S, E = np.empty_like(terms), np.empty_like(terms)
+        solver._sum2(terms, S, E)
+        got = solver._certified_sums(terms, S.ravel(), E.ravel(), ends)
         flat = terms.ravel()
         want = np.array([math.fsum(flat[a + 1:b + 1]) for a, b in ends.T])
         assert np.max(np.abs(got - want) / want) <= 1e-13
@@ -506,7 +508,7 @@ class TestCollisionOperator:
         monkeypatch.setattr(solver, "_check_indices", refuse)
         with pytest.raises(ValueError, match="refused"):
             solver._production_cells(op32_quad)
-        n_rows, nb = op32_quad.mho_sl.shape
+        n_rows, nb = solver._plane_shape(op32_quad.band)
         assert seen == [(32, 5 * n_rows * (nb + 1))]
 
     def test_640_nodes_need_no_table_budget(self, d_quad):
@@ -616,7 +618,7 @@ def test_pieces_list_the_stored_ranges(alpha, cutoff_n, n_nodes):
 
 def _twosum_errors(terms):
     """Each step's error of np.cumsum along rows by Knuth's TwoSum, summed
-    cumulatively: the classic form of _prefix_sums' E."""
+    cumulatively: the classic form of _sum2's E."""
     S = np.cumsum(terms, axis=-1)
     prev, t, x = S[:, :-1], S[:, 1:], terms[:, 1:]
     bb = t - prev
@@ -633,7 +635,8 @@ _TERM = st.one_of(st.just(0.0), st.floats(0.0, 2.0 ** -1022, exclude_max=True),
     lambda k: st.lists(st.lists(_TERM, min_size=k, max_size=k), min_size=1, max_size=4)))
 def test_fast2sum_errors_equal_twosum_errors(rows):
     terms = np.abs(np.array([[0.0] + row for row in rows]))
-    S, E = solver._prefix_sums(terms)
+    S, E = np.empty_like(terms), np.empty_like(terms)
+    solver._sum2(terms, S, E)
     assert np.array_equal(S, np.cumsum(terms, axis=-1))
     assert np.array_equal(E.view(np.int64), _twosum_errors(terms).view(np.int64))
 
