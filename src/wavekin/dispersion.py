@@ -13,7 +13,10 @@ growth constants that make the structural assumptions checkable:
 The power-law family omega(r) = r**alpha with alpha in (1, 2] satisfies all of
 these with iota = 2 - alpha and c_mho = 1/alpha; it is the workhorse.  Custom
 profiles supply callables and constants, and the constructor spot-checks the
-inequalities on sampled grids rather than symbolically.
+inequalities on sampled grids rather than symbolically.  invert_omega maps one
+frequency or an array of them back to radii: in closed form for power laws,
+and for custom laws by _bisect, the package's one bisection, which also finds
+resonance_geometry's roots.
 """
 
 from __future__ import annotations
@@ -231,105 +234,90 @@ def eval_mho(d: DispersionRelation, r: np.ndarray) -> float:
     return np.vectorize(one, otypes=[float])(r)
 
 
-def invert_omega(d: DispersionRelation, w: float) -> float:
-    """Radius r with omega(r) = w.
+def invert_omega(d: DispersionRelation, w):
+    """Radius r with omega(r) = w: a float for a real w, elementwise for an array.
 
-    Power laws use the closed form w**(1/alpha).  Custom laws use bracketed
-    bisection (see _invert_custom).  Either way the result satisfies
-    |omega(r) - w| <= 1e-12 * max(1, w).
+    Power laws use the closed form w**(1/alpha), value by value in Python
+    floats.  Custom laws start each w from the bracket
+    [0, max(1, (w / c_omega_lower)**(1/alpha))], valid because of the lower
+    growth bound and doubled defensively in case a custom profile only meets
+    its declared constant marginally, and bisect every bracket in one _bisect
+    call.  Either way each radius has the bits of its own scalar call and
+    satisfies |omega(r) - w| <= 1e-12 * max(1, w).
     """
-    if not (isinstance(w, numbers.Real) and math.isfinite(w)):
+    scalar = np.ndim(w) == 0
+    if scalar and not (isinstance(w, numbers.Real) and math.isfinite(w)):
         raise ValueError(f"target frequency must be finite, got {w!r}")
-    w = float(w)
-    if w < 0.0:
-        raise ValueError(f"target frequency must be nonnegative, got {w}")
-    if w == 0.0:
-        return 0.0
+    values = np.array(w, dtype=float, ndmin=1).tolist()
+    for x in values:
+        if not math.isfinite(x):
+            raise ValueError(f"target frequency must be finite, got {x!r}")
+        if x < 0.0:
+            raise ValueError(f"target frequency must be nonnegative, got {x}")
     if d.kind == "power_law":
-        return w ** (1.0 / d.alpha)
-    return float(_invert_custom(d, np.array([w]))[0])
-
-
-def _invert_custom(d: DispersionRelation, w: np.ndarray) -> np.ndarray:
-    """invert_omega of a custom law at every w > 0 of an array, all at once.
-
-    Each w has its own bracket [0, max(1, (w / c_omega_lower)**(1/alpha))],
-    valid because of the lower growth bound and doubled defensively in case
-    a custom profile only meets its declared constant marginally, and each
-    is bisected by _bisect's rule, so every radius has the bits of a bisection
-    of its own.  Each step evaluates omega once at every unfinished node.
-    """
-    hi = np.array([max(1.0, (x / d.c_omega_lower) ** (1.0 / d.alpha)) for x in w.tolist()])
-    short = np.arange(w.size)
-    for _ in range(200):
-        short = short[eval_omega(d, hi[short]) < w[short]]
-        if not short.size:
-            break
-        hi[short] *= 2.0
+        r = np.array([x ** (1.0 / d.alpha) for x in values])
     else:
-        raise ValueError(f"could not bracket omega = {w[short[0]]:g}")
-
-    # _bisect on [0, hi] for every w at once
-    flo, fhi = eval_omega(d, 0.0) - w, eval_omega(d, hi) - w
-    wrong = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) | (fhi < 0.0)))
-    if wrong.size:
-        k = wrong[0]
-        raise BracketError(f"no sign change on [0, {hi[k]:g}]: f(lo)={flo[k]:g}, "
-                           f"f(hi)={fhi[k]:g}")
-    lo = np.zeros(w.size)
-    r = np.where(flo == 0.0, 0.0, hi)
-    live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    for _ in range(200):
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        fm = eval_omega(d, mid) - w[live]
-        root, below = fm == 0.0, fm < 0.0
-        lo[live[below]] = mid[below]
-        hi[live[~below]] = mid[~below]
-        a, b = lo[live], hi[live]
-        narrow = b - a <= 1e-16 * np.maximum(1e-6, np.abs(b))
-        r[live] = np.where(root, mid, 0.5 * (a + b))
-        live = live[~root & ~narrow]
-
-    resid = eval_omega(d, r) - w
-    bad = np.flatnonzero(np.abs(resid) > 1e-12 * np.maximum(1.0, w))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"bisection failed to invert omega at w={w[k]:g} "
-                         f"(residual {resid[k]:g})")
-    return r
+        ws = np.array(values)
+        hi = np.array([max(1.0, (x / d.c_omega_lower) ** (1.0 / d.alpha)) for x in values])
+        short = np.arange(ws.size)
+        for _ in range(200):
+            short = short[eval_omega(d, hi[short]) < ws[short]]
+            if not short.size:
+                break
+            hi[short] *= 2.0
+        else:
+            raise ValueError(f"could not bracket omega = {ws[short[0]]:g}")
+        r = _bisect(lambda x: eval_omega(d, x) - ws, np.zeros(ws.size), hi)
+        resid = eval_omega(d, r) - ws
+        bad = np.flatnonzero(np.abs(resid) > 1e-12 * np.maximum(1.0, ws))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"bisection failed to invert omega at w={ws[k]:g} "
+                             f"(residual {resid[k]:g})")
+    return float(r[0]) if scalar else r
 
 
 class BracketError(ValueError):
     """A root bracket failed to change sign; endpoints are in the message."""
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """A root of fn in [lo, hi], given fn(lo) <= 0 <= fn(hi).
+def _bisect(fn: Callable, lo, hi):
+    """A root of fn in [lo, hi], given fn(lo) <= 0 <= fn(hi): the package's
+    one bisection.
 
-    The bracket is halved down to machine width, 1e-16 * max(1e-6, |hi|),
-    before the midpoint is returned: a stop on the residual alone can leave
-    the root off by ~residual/fn'(root), which is too loose where fn is flat.
+    Float ends give a float, and fn is called on floats.  Arrays of ends give
+    an array: fn is called on the array of every bracket's midpoint at once and
+    must act elementwise, and each bracket stops by its own rule, so each
+    element has the bits of its own scalar bisection.  A bracket is halved
+    down to machine width, 1e-16 * max(1e-6, |hi|), or until no float lies
+    between its ends, before its midpoint is returned: a stop on the
+    residual alone can leave the root off by ~residual/fn'(root), which is
+    too loose where fn is flat.
     """
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    f = (lambda x: np.array([fn(float(x[0]))])) if scalar else fn
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    flo, fhi = f(lo), f(hi)
+    wrong = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) | (fhi < 0.0)))
+    if wrong.size:
+        k = wrong[0]
         raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}"
+            f"no sign change on [{lo[k]:g}, {hi[k]:g}]: f(lo)={flo[k]:g}, f(hi)={fhi[k]:g}"
         )
+    # a root at an end or at a midpoint collapses the bracket onto it
+    live = (flo != 0.0) & (fhi != 0.0)
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1e-6, abs(hi)):
+        # no float lies strictly between the ends: every later step would
+        # keep the bracket or collapse it onto mid, so mid is the result
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
             break
-    return 0.5 * (lo + hi)
+        fm = f(mid)
+        lo = np.where(live & (fm <= 0.0), mid, lo)
+        hi = np.where(live & ~(fm < 0.0), mid, hi)
+        live &= ~(hi - lo <= 1e-16 * np.maximum(1e-6, np.abs(hi)))
+    r = np.where(lo == hi, lo, 0.5 * (lo + hi))
+    return float(r[0]) if scalar else r

@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from wavekin.dispersion import DispersionRelation, _invert_custom, eval_mho, invert_omega
+from wavekin.dispersion import DispersionRelation, eval_mho, invert_omega
 from wavekin.collision_kernel import KernelWeights
 from wavekin import diagnostics as _diag
 
@@ -114,9 +114,8 @@ class OmegaGrid:
         n_nodes = int(n_nodes)
         h = float(omega_max) / (n_nodes - 1)
         omega = np.arange(n_nodes, dtype=float) * h
-        r = np.zeros(n_nodes)  # omega_0 = 0 is r = 0; a custom law bisects all others at once
-        r[1:] = (_invert_custom(d, omega[1:]) if d.kind == "custom"
-                 else [invert_omega(d, w) for w in omega[1:]])
+        r = np.zeros(n_nodes)  # omega_0 = 0 is r = 0; the others are inverted in one call
+        r[1:] = invert_omega(d, omega[1:])
         # the origin node carries no measure and no interactions, so its mho
         # entry is never read; store 0 rather than evaluate at r = 0 (which
         # is undefined for iota = 0)
@@ -726,8 +725,8 @@ def _part_sums(planes, layout: _Windows, space: np.ndarray, out: np.ndarray) -> 
 
 
 def _planes(op: CollisionOperator, g: np.ndarray):
-    """g and a = g / r over the band, and the loss and pair planes at g as
-    fill functions for _window_sums."""
+    """a = g / r over the band, and the loss and pair planes at g as fill
+    functions for _window_sums."""
     c0, c1 = op.band
     gb = g[c0:c1 + 1]
     ab = gb / op.grid.r[c0:c1 + 1]
@@ -747,9 +746,8 @@ def _planes(op: CollisionOperator, g: np.ndarray):
                 terms.ravel()[rows.half] *= 0.5
         return fill
 
-    return gb, ab, ([plane(g_pad, op.mho_d), plane(a_pad, op.mho_d),
-                     plane(a_pad, op.rmho_d)],
-                    [plane(a_pad, two_a, True), plane(g_pad, two_a, True)])
+    return ab, ([plane(g_pad, op.mho_d), plane(a_pad, op.mho_d), plane(a_pad, op.rmho_d)],
+                [plane(a_pad, two_a, True), plane(g_pad, two_a, True)])
 
 
 def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
@@ -759,7 +757,7 @@ def _rhs_of_g(op: CollisionOperator, g: np.ndarray) -> np.ndarray:
     if not op.n_entries:  # a band with no node
         return np.zeros(n)
     c0, c1 = op.band
-    _, ab, (loss_planes, pair_planes) = _planes(op, g)
+    ab, (loss_planes, pair_planes) = _planes(op, g)
     a = np.zeros(n)
     a[c0:c1 + 1] = ab
     # a pair's factor by its code: a_i, g_i, a_i for A, B, C, halved where i = j
@@ -963,7 +961,7 @@ def _region_masses(op: CollisionOperator, g: np.ndarray):
     until the next block.
     """
     nb = _plane_shape(op.band)[1]
-    _, _, (loss, pairs) = _planes(op, g)
+    _, (loss, pairs) = _planes(op, g)
     kh = op.kw.c_q * op.grid.h ** 3
 
     def times(fill, out, bounds, part, start):

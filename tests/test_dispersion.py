@@ -40,6 +40,29 @@ def _pow_oracle(base: float, num: int, den: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bisect_loop(fn, lo: float, hi: float) -> float:
+    """Bisection one bracket at a time, in Python floats: the rule _bisect
+    keeps bit for bit.  It stops on an exact root, on a bracket of width
+    1e-16 * max(1e-6, |hi|) or after 200 steps."""
+    flo, fhi = fn(lo), fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1e-6, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestEvalOmega:
     def test_quadratic(self, d_quad):
         assert eval_omega(d_quad, 3.0) == 9.0
@@ -137,15 +160,41 @@ class TestInvertOmega:
     def test_closed_form_meets_residual_and_matches_bisection(self, alpha):
         d = DispersionRelation.power_law(alpha)
         bisected = self._bisected_copy(alpha)
-        for w in np.logspace(-12.0, 6.0, 721):
-            w = float(w)
+        ws = np.logspace(-12.0, 6.0, 721)
+        for w, r_bisected in zip(ws.tolist(), invert_omega(bisected, ws).tolist()):
             r = invert_omega(d, w)
             assert abs(eval_omega(d, r) - w) <= 1e-12 * max(1.0, w)
             # the closed form is off by a couple of ulps plus the rounding of
             # 1/alpha, which w**(1/alpha) amplifies by |ln w|; bisection stops
             # at an absolute bracket width of 1e-22 when r < 1e-6
             bound = 4.5e-16 + 2.0 ** -54 * abs(math.log(w)) + 1e-22 / r
-            assert abs(r - invert_omega(bisected, w)) <= bound * r, w
+            assert abs(r - r_bisected) <= bound * r, w
+
+    @pytest.mark.parametrize("law", ["power 1.5", "custom 1.1", "r^2 + r^1.5"])
+    def test_array_equals_scalar_calls(self, law):
+        # an array is inverted in one call, and each radius keeps the bits of
+        # its own scalar call, w = 0 included; shuffled, so that neighbours
+        # differ in size
+        d = {"power 1.5": lambda: DispersionRelation.power_law(1.5),
+             "custom 1.1": lambda: self._bisected_copy(1.1),
+             "r^2 + r^1.5": lambda: _custom(lambda r: r * r + r ** 1.5,
+                                            lambda r: 2.0 * r + 1.5 * r ** 0.5,
+                                            2.0, 1.5, 1.0, 2.0, 1.0, 0.0)}[law]()
+        ws = np.concatenate(([0.0], np.random.default_rng(3).permutation(
+            np.logspace(-9.0, 5.0, 113)), [0.0, 2.0]))
+        r = invert_omega(d, ws)
+        assert isinstance(r, np.ndarray) and r.shape == ws.shape
+        assert np.array_equal(r, [invert_omega(d, w) for w in ws.tolist()]), law
+        assert r[0] == r[-2] == 0.0
+
+    def test_arrays_rejected_with_the_scalar_messages(self, d_quad):
+        for d in (d_quad, self._bisected_copy(2.0)):
+            for bad in (math.nan, -math.inf, -2.0):
+                with pytest.raises(ValueError) as scalar:
+                    invert_omega(d, bad)
+                with pytest.raises(ValueError) as array:
+                    invert_omega(d, np.array([1.0, 0.0, bad, -3.0, 4.0]))
+                assert str(array.value) == str(scalar.value), bad
 
 
 def _custom(omega, omega_prime, alpha, alpha_prime, c_lower, c_upper, c_mho, iota):
@@ -212,6 +261,46 @@ class TestBisect:
     def test_bracket_without_sign_change_raises(self):
         with pytest.raises(BracketError, match="no sign change"):
             _bisect(lambda t: t + 1.0, 0.0, 1.0)
+
+    def test_brackets_bisected_at_once_equal_scalar_calls(self):
+        # one call bisects every bracket; each stops by its own rule, so each
+        # keeps the bits of the one-bracket loop, as a float call does:
+        # roots from 1e-12 to 1e4, on both sides of the stop rule's switch
+        # at 1e-6, a root at each end and one at the first midpoint
+        roots = [1e-9, 1e-5, 3e-8, 1e-3, 0.3, 7.0, 0.0, 2.0, 0.75, 123.456]
+        lo = [0.0, 0.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 3.0]
+        hi = [1.0, 1.5e-5, 1e-7, 0.1, 0.45, 10.5, 1.0, 2.0, 1.5, 1e4]
+        rng = np.random.default_rng(7)
+        roots += (10.0 ** rng.uniform(-12.0, 4.0, 300)).tolist()
+        lo += (np.array(roots[-300:]) * rng.uniform(0.0, 1.0, 300)).tolist()
+        hi += (np.array(roots[-300:]) * rng.uniform(1.0, 3.0, 300)).tolist()
+        squares = np.array([x * x for x in roots])
+        got = _bisect(lambda t: t * t - squares, np.array(lo), np.array(hi))
+        brackets = list(zip(squares.tolist(), lo, hi))
+        want = [_bisect_loop(lambda t, c=c: t * t - c, a, b) for c, a, b in brackets]
+        one = [_bisect(lambda t, c=c: t * t - c, a, b) for c, a, b in brackets]
+        assert isinstance(got, np.ndarray) and isinstance(one[0], float)
+        assert np.array_equal(got, want) and one == want
+        with pytest.raises(BracketError, match=r"no sign change on \[2, 3\]"):
+            _bisect(lambda t: t * t - squares[:3], np.array([0.0, 2.0, 0.0]),
+                    np.array([1.0, 3.0, 1.0]))
+
+    def test_a_bracket_stops_once_no_float_lies_inside(self):
+        # where |hi| >= 1e-6, floats lie more than 1e-16 |hi| apart, so only
+        # equal ends meet the width rule: the one-bracket loop takes all 200
+        # steps on each of these brackets (202 calls), the last ones on a
+        # bracket that no longer moves
+        scales = 2.0 ** np.arange(-19, 14)
+        calls = []
+
+        def fn(t):
+            calls.append(np.size(t))
+            return t * t - 2.0 * scales * scales
+
+        got = _bisect(fn, np.zeros(scales.size), 2.0 * scales)
+        assert len(calls) <= 60 and max(calls) == scales.size
+        assert got.tolist() == [_bisect_loop(lambda t, s=s: t * t - 2.0 * s * s, 0.0, 2.0 * s)
+                                for s in scales.tolist()]
 
 
 class TestAssumptions:
