@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -242,39 +243,41 @@ def invert_omega(d: DispersionRelation, w):
     [0, max(1, (w / c_omega_lower)**(1/alpha))], valid because of the lower
     growth bound and doubled defensively in case a custom profile only meets
     its declared constant marginally, and bisect every bracket in one _bisect
-    call.  Either way each radius has the bits of its own scalar call and
-    satisfies |omega(r) - w| <= 1e-12 * max(1, w).
+    call, a real w's in Python floats.  Either way each radius has the bits
+    of its own scalar call and satisfies |omega(r) - w| <= 1e-12 * max(1, w).
     """
-    scalar = np.ndim(w) == 0
-    if scalar and not (isinstance(w, numbers.Real) and math.isfinite(w)):
+    real = isinstance(w, numbers.Real)
+    scalar = real or np.ndim(w) == 0
+    if scalar and not (real and math.isfinite(w)):
         raise ValueError(f"target frequency must be finite, got {w!r}")
-    values = np.array(w, dtype=float, ndmin=1).tolist()
+    values = [float(w)] if scalar else np.array(w, dtype=float, ndmin=1).tolist()
     for x in values:
         if not math.isfinite(x):
             raise ValueError(f"target frequency must be finite, got {x!r}")
         if x < 0.0:
             raise ValueError(f"target frequency must be nonnegative, got {x}")
     if d.kind == "power_law":
-        r = np.array([x ** (1.0 / d.alpha) for x in values])
+        r = [x ** (1.0 / d.alpha) for x in values]
+        return r[0] if scalar else np.array(r)
+    ws = np.array(values)
+    hi = np.array([max(1.0, (x / d.c_omega_lower) ** (1.0 / d.alpha)) for x in values])
+    short = np.arange(ws.size)
+    for _ in range(200):
+        short = short[eval_omega(d, hi[short]) < ws[short]]
+        if not short.size:
+            break
+        hi[short] *= 2.0
     else:
-        ws = np.array(values)
-        hi = np.array([max(1.0, (x / d.c_omega_lower) ** (1.0 / d.alpha)) for x in values])
-        short = np.arange(ws.size)
-        for _ in range(200):
-            short = short[eval_omega(d, hi[short]) < ws[short]]
-            if not short.size:
-                break
-            hi[short] *= 2.0
-        else:
-            raise ValueError(f"could not bracket omega = {ws[short[0]]:g}")
-        r = _bisect(lambda x: eval_omega(d, x) - ws, np.zeros(ws.size), hi)
-        resid = eval_omega(d, r) - ws
-        bad = np.flatnonzero(np.abs(resid) > 1e-12 * np.maximum(1.0, ws))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"bisection failed to invert omega at w={ws[k]:g} "
-                             f"(residual {resid[k]:g})")
-    return float(r[0]) if scalar else r
+        raise ValueError(f"could not bracket omega = {ws[short[0]]:g}")
+    ws, lo, hi = (values[0], 0.0, float(hi[0])) if scalar else (ws, np.zeros(ws.size), hi)
+    r = _bisect(lambda x: eval_omega(d, x) - ws, lo, hi)
+    resid = eval_omega(d, r) - ws
+    bad = np.flatnonzero(np.abs(resid) > 1e-12 * np.maximum(1.0, ws))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"bisection failed to invert omega at w={np.ravel(ws)[k]:g} "
+                         f"(residual {np.ravel(resid)[k]:g})")
+    return r
 
 
 class BracketError(ValueError):
@@ -285,39 +288,41 @@ def _bisect(fn: Callable, lo, hi):
     """A root of fn in [lo, hi], given fn(lo) <= 0 <= fn(hi): the package's
     one bisection.
 
-    Float ends give a float, and fn is called on floats.  Arrays of ends give
-    an array: fn is called on the array of every bracket's midpoint at once and
-    must act elementwise, and each bracket stops by its own rule, so each
-    element has the bits of its own scalar bisection.  A bracket is halved
-    down to machine width, 1e-16 * max(1e-6, |hi|), or until no float lies
-    between its ends, before its midpoint is returned: a stop on the
-    residual alone can leave the root off by ~residual/fn'(root), which is
-    too loose where fn is flat.
+    Float ends give a float: fn is called on floats, and the loop steps in
+    Python floats.  Arrays of ends give an array: fn is called on the array
+    of every bracket's midpoint at once and must act elementwise, and each
+    bracket stops by its own rule, so each element has the bits of its own
+    scalar bisection.  The one loop runs on either, with its primitives
+    chosen before it starts.  A bracket is halved down to machine width,
+    1e-16 * max(1e-6, |hi|), or until no float lies between its ends, before
+    its midpoint is returned: a stop on the residual alone can leave the root
+    off by ~residual/fn'(root), which is too loose where fn is flat.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    f = (lambda x: np.array([fn(float(x[0]))])) if scalar else fn
-    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
-    flo, fhi = f(lo), f(hi)
-    wrong = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) | (fhi < 0.0)))
-    if wrong.size:
-        k = wrong[0]
-        raise BracketError(
-            f"no sign change on [{lo[k]:g}, {hi[k]:g}]: f(lo)={flo[k]:g}, f(hi)={fhi[k]:g}"
-        )
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        lo, hi = float(lo), float(hi)
+        where, any_, not_, max_ = (lambda c, a, b: a if c else b), bool, operator.not_, max
+    else:
+        lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+        where, any_, not_, max_ = np.where, np.any, np.logical_not, np.maximum
+    flo, fhi = fn(lo), fn(hi)
+    wrong = (flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) | (fhi < 0.0))
+    if any_(wrong):
+        k = np.flatnonzero(wrong)[0]
+        a, b, fa, fb = (np.ravel(v)[k] for v in (lo, hi, flo, fhi))
+        raise BracketError(f"no sign change on [{a:g}, {b:g}]: f(lo)={fa:g}, f(hi)={fb:g}")
     # a root at an end or at a midpoint collapses the bracket onto it
     live = (flo != 0.0) & (fhi != 0.0)
-    hi = np.where(flo == 0.0, lo, hi)
-    lo = np.where(fhi == 0.0, hi, lo)
+    hi = where(flo == 0.0, lo, hi)
+    lo = where(fhi == 0.0, hi, lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # no float lies strictly between the ends: every later step would
         # keep the bracket or collapse it onto mid, so mid is the result
         live &= (mid != lo) & (mid != hi)
-        if not live.any():
+        if not any_(live):
             break
-        fm = f(mid)
-        lo = np.where(live & (fm <= 0.0), mid, lo)
-        hi = np.where(live & ~(fm < 0.0), mid, hi)
-        live &= ~(hi - lo <= 1e-16 * np.maximum(1e-6, np.abs(hi)))
-    r = np.where(lo == hi, lo, 0.5 * (lo + hi))
-    return float(r[0]) if scalar else r
+        fm = fn(mid)
+        lo = where(live & (fm <= 0.0), mid, lo)
+        hi = where(live & not_(fm < 0.0), mid, hi)
+        live &= not_(hi - lo <= 1e-16 * max_(1e-6, abs(hi)))
+    return where(lo == hi, lo, 0.5 * (lo + hi))

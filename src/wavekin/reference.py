@@ -218,36 +218,42 @@ def cap_coverage_mc(
     return mean, stderr
 
 
-def vcone_mc(
-    R: float,
-    rho: float,
-    seed: int = 0,
-) -> Tuple[float, float]:
+def vcone_mc(R, rho, seed: int = 0):
     """Monte-Carlo volume of {x in B(0, R) : x . sigma >= |x| rho / R}.
 
     Counts the VCONE_SAMPLES uniform ball samples satisfying the membership
     inequality with sigma the z axis; returns (volume estimate, standard
-    error).  All the normals are drawn first, one array per block of
-    _BLOCK_ROWS samples, then the uniforms and the hits a block at a time.
-    Block-sized arrays, not one 9.6 MB array: once a freed array has raised
-    glibc's mmap threshold, a later call's 9.6 MB would come from the heap
-    and stay resident after the call.
+    error).  Equal-length sequences of R and rho give a list of such pairs,
+    one per case, all from the one draw that each case would make alone.
+    All the normals are drawn first, one array per block of _BLOCK_ROWS
+    samples, then the uniforms and the hits a block at a time.  Block-sized
+    arrays, not one 9.6 MB array: once a freed array has raised glibc's mmap
+    threshold, a later call's 9.6 MB would come from the heap and stay
+    resident after the call.
     """
-    if not R > 0.0:
-        raise ValueError(f"R must be positive, got {R}")
-    if not 0.0 <= rho <= R:
-        raise ValueError(f"rho must lie in [0, R], got {rho}")
+    single = np.ndim(R) == 0 and np.ndim(rho) == 0
+    cases = list(zip(np.atleast_1d(R).tolist(), np.atleast_1d(rho).tolist(), strict=True))
+    for r, p in cases:
+        if not r > 0.0:
+            raise ValueError(f"R must be positive, got {r}")
+        if not 0.0 <= p <= r:
+            raise ValueError(f"rho must lie in [0, R], got {p}")
     rng = np.random.default_rng([seed, 0])
     blocks = [rng.normal(size=(min(_BLOCK_ROWS, VCONE_SAMPLES - lo), 3))
               for lo in range(0, VCONE_SAMPLES, _BLOCK_ROWS)]
-    hits = 0
+    hits = [0] * len(cases)
     for normals in blocks:
         u = normals.T
-        rad = R * rng.uniform(size=len(normals)) ** (1.0 / 3.0)
+        cube = rng.uniform(size=len(normals)) ** (1.0 / 3.0)
         u_norm = _norm3(*u)
-        x = [rad * (uj / u_norm) for uj in u]
-        hits += int(np.count_nonzero(x[2] >= _norm3(*x) * rho / R))
-    p = hits / VCONE_SAMPLES
-    ball = 4.0 / 3.0 * math.pi * R ** 3
-    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / VCONE_SAMPLES) * ball
-    return p * ball, stderr
+        dirs = [uj / u_norm for uj in u]
+        for i, (r, p) in enumerate(cases):
+            rad = r * cube
+            x = [rad * dj for dj in dirs]
+            hits[i] += int(np.count_nonzero(x[2] >= _norm3(*x) * p / r))
+    out = []
+    for (r, _), h in zip(cases, hits):
+        frac, ball = h / VCONE_SAMPLES, 4.0 / 3.0 * math.pi * r ** 3
+        stderr = math.sqrt(max(frac * (1.0 - frac), 1e-300) / VCONE_SAMPLES) * ball
+        out.append((frac * ball, stderr))
+    return out[0] if single else out

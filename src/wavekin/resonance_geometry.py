@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _ORIGIN_EPS = 1e-12
+# candidate pairs per chunk of PointSet3.contains' queries, plus one query's
+_PAIRS = 2 ** 16
 
 
 # --- point sets and collision-region iteration -------------------------------
@@ -94,11 +96,8 @@ class PointSet3:
         self.tol = float(tol) if tol is not None else 1e-3 * scale
         if self.tol <= 0.0:
             raise ValueError(f"membership tolerance must be positive, got {self.tol}")
-        # SciPy is imported here, not at module level, so that importing the
-        # package (and running ``simulate``) never loads it
-        from scipy.spatial import cKDTree
-
-        self._tree = cKDTree(self.points) if self.points.shape[0] else None
+        # the membership index: x, y and z of the stored points, in order of x
+        self._by_x = self.points[np.argsort(self.points[:, 0], kind="stable")].T.copy()
 
     @property
     def n_points(self) -> int:
@@ -119,15 +118,26 @@ class PointSet3:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x = x.reshape(-1, 3)
-        norms = np.linalg.norm(x, axis=1)
         ok = np.zeros(x.shape[0], dtype=bool)
         if self.generator is not None:
             center, radius = self.generator
             ok |= np.linalg.norm(x - center, axis=1) <= radius
-        if self._tree is not None:
-            dist, _ = self._tree.query(x)
-            ok |= dist <= self.tol
-        ok &= norms > _ORIGIN_EPS
+        if self.n_points:
+            if not np.isfinite(x).all():
+                raise ValueError("query points must be finite")
+            # a query's candidates: the stored points with x within tol of its x
+            lo = np.searchsorted(self._by_x[0], x[:, 0] - self.tol, "left")
+            counts = np.searchsorted(self._by_x[0], x[:, 0] + self.tol, "right") - lo
+            begins = np.cumsum(counts) - counts
+            start = 0
+            while start < x.shape[0]:
+                stop = int(np.searchsorted(begins, begins[start] + _PAIRS, "right"))
+                rows = np.repeat(np.arange(start, stop), counts[start:stop])
+                cand = np.arange(begins[start], begins[start] + rows.size) + (lo - begins)[rows]
+                d2 = sum((p[cand] - q[rows]) ** 2 for p, q in zip(self._by_x, x.T))
+                ok[rows[d2 <= self.tol ** 2]] = True
+                start = stop
+        ok &= np.linalg.norm(x, axis=1) > _ORIGIN_EPS
         return bool(ok[0]) if single else ok
 
     def with_points_added(self, new_points: np.ndarray) -> "PointSet3":

@@ -326,8 +326,8 @@ def test_a_broken_library_function_fails_the_cli_and_the_criterion(
     monkeypatch.setattr(cli, "sine_integral_oracle", cli.four_sine_closed_form)
     monkeypatch.setattr(reference, "cap_coverage_mc",
                         lambda q, N, **_: (1.0 - (1.0 - q) ** N, 1e-9))
-    monkeypatch.setattr(reference, "vcone_mc",
-                        lambda R, rho, **_: (2.0 * math.pi / 3.0 * R * R * (R - rho), 1e-9))
+    monkeypatch.setattr(reference, "vcone_mc", lambda R, rho, **_: [
+        (2.0 * math.pi / 3.0 * r * r * (r - p), 1e-9) for r, p in zip(R, rho)])
     monkeypatch.setattr(reference, "mollified_delta_mc", lambda d, k2, k3, f, **_: (
         quadrature(geom.ResonanceManifold(k2, k3, d), f), 1e-9))
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))

@@ -546,23 +546,37 @@ class TestReportCommand:
         assert "no such file" in capsys.readouterr().err
 
 
-# simulate, report and verify-geometry in one fresh interpreter; the last
-# stdout line lists the scipy modules loaded by then
+# in one fresh interpreter: import every wavekin module, grow a collision
+# region by one step for alpha = 2 and 1.5 and ask the grown set for its own
+# points, then run simulate, report and verify-geometry; the last stdout line
+# lists the modules imported and the scipy modules loaded by then
 _SCIPY_PROBE = """
-import json, sys
+import importlib, json, pkgutil, sys
+import wavekin
 from wavekin.cli import main
+from wavekin.dispersion import DispersionRelation
+from wavekin.resonance_geometry import PointSet3, iterate_collision_region
+modules = sorted(m.name for m in pkgutil.iter_modules(wavekin.__path__))
+for name in modules:
+    importlib.import_module("wavekin." + name)
+grown = []
+for alpha in (2.0, 1.5):
+    seed = PointSet3(generator=((0.0, 0.0, 0.0), 1.0))
+    region = iterate_collision_region(seed, DispersionRelation.power_law(alpha), steps=1)[-1]
+    grown.append(region.n_points > 0 and bool(region.contains(region.points).all()))
 cfg, out = sys.argv[1], sys.argv[2]
 codes = [main(["simulate", "--config", cfg, "--out", out]),
          main(["report", out + "/series.csv"]),
          main(["verify-geometry", "--seed", "1"])]
-print(json.dumps({"codes": codes,
+print(json.dumps({"modules": modules, "grown": grown, "codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
 class TestImportGuard:
-    def test_simulate_report_and_geometry_never_import_scipy(self, run_dir):
-        # SciPy costs ~1 s of import time; only PointSet3's k-d tree uses it
+    def test_no_wavekin_module_or_command_loads_scipy(self, run_dir):
+        # SciPy costs 0.3-1 s of import time and tens of MiB; no module of the
+        # package needs it, only the tests' oracles do
         tmp_path, cfg_path = run_dir
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, str(cfg_path), str(tmp_path / "sim")],
@@ -570,7 +584,10 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"codes": [0, 0, 0], "scipy": []}
+        package = Path(wavekin.__file__).parent
+        assert result == {"modules": sorted(p.stem for p in package.glob("*.py")
+                                            if p.stem != "__init__"),
+                          "grown": [True, True], "codes": [0, 0, 0], "scipy": []}
 
     def test_simulate_with_an_out_directory_never_loads_openssl(self, run_dir):
         # hashlib maps OpenSSL (_hashlib) into the process; only the default

@@ -75,6 +75,97 @@ class TestPointSet3:
         assert ps.contains(draws).all()
 
 
+def _tree_membership(ps, x):
+    """The k-d tree membership that PointSet3 once used, as an oracle: in the
+    generator ball or within tol of a stored point (SciPy's cKDTree), never
+    the origin.  Also returns each query's distance to its nearest point."""
+    from scipy.spatial import cKDTree
+
+    dist = cKDTree(ps.points).query(x)[0] if ps.n_points else np.full(len(x), np.inf)
+    ok = dist <= ps.tol
+    if ps.generator is not None:
+        center, radius = ps.generator
+        ok |= np.linalg.norm(x - center, axis=1) <= radius
+    return ok & (np.linalg.norm(x, axis=1) > 1e-12), dist
+
+
+def _assert_agrees_with_tree(ps, x, got=None):
+    """contains(x) equals the oracle, except at queries whose nearest stored
+    point lies within 1e-12 * tol of distance tol: there the oracle compares
+    sqrt(d2) with tol and the index d2 with tol**2, which may round apart.
+    Returns the number of members among the compared queries."""
+    want, dist = _tree_membership(ps, x)
+    got = ps.contains(x) if got is None else got
+    clear = np.abs(dist - ps.tol) > 1e-12 * ps.tol
+    assert got.dtype == bool and got.shape == (len(x),)
+    assert np.count_nonzero(~clear) <= 2
+    assert np.array_equal(got[clear], want[clear])
+    return int(np.count_nonzero(want[clear]))
+
+
+class TestMembershipAgainstKDTree:
+    @pytest.mark.parametrize("n, tol", [(1, 0.1), (40, 0.05), (700, None), (5000, 0.02),
+                                        (5000, 0.3)])
+    def test_random_sets(self, n, tol):
+        rng = np.random.default_rng(n)
+        ps = PointSet3(points=rng.uniform(-2.0, 2.0, (n, 3)), tol=tol)
+        # stored points moved by about tol, so that members and outsiders mix,
+        # uniform points, the stored points themselves and the origin
+        near = ps.points[rng.integers(0, n, 3000)] + rng.normal(scale=ps.tol, size=(3000, 3))
+        x = np.vstack([near, rng.uniform(-2.5, 2.5, (1000, 3)), ps.points, np.zeros((1, 3))])
+        members = _assert_agrees_with_tree(ps, x)
+        # members besides the stored points, outsiders besides the origin
+        assert n < members < len(x) - 1
+
+    def test_demo_sets(self, d_quad):
+        seed = PointSet3(generator=((1.0, 0.0, 0.0), 0.3))
+        history = iterate_collision_region(seed, d_quad, steps=4, rng_seed=11)
+        assert [h.n_points for h in history] == [265, 802, 1235, 1648]
+        rng = np.random.default_rng(11)
+        for region in history:
+            x = region.sample(rng, 2000) + rng.normal(scale=2.0 * region.tol, size=(2000, 3))
+            members = _assert_agrees_with_tree(region, x)
+            assert 0 < members < len(x)
+
+    def test_histories_keep_their_sizes(self, d_quad, d_mid):
+        seed = PointSet3(generator=((1.0, 0.0, 0.0), 0.3))
+        quad = iterate_collision_region(seed, d_quad, steps=3, samples_per_step=2000,
+                                        rng_seed=0)
+        ball = PointSet3(generator=((0.0, 0.0, 0.0), 1.0))
+        mid = iterate_collision_region(ball, d_mid, steps=1, samples_per_step=4000,
+                                       rng_seed=1)
+        assert [h.n_points for h in quad] == [278, 765, 1191]
+        assert [h.n_points for h in mid] == [2581]
+
+    def test_tolerance_is_inclusive(self):
+        ps = PointSet3(points=[(1.0, 0.0, 0.0)], tol=0.5)
+        # tol away along x, on either side, and along y
+        assert ps.contains(np.array([[1.5, 0.0, 0.0], [0.5, 0.0, 0.0]])).all()
+        assert ps.contains(np.array([1.0, -0.5, 0.0]))
+        assert not ps.contains(np.array([1.5, 1e-7, 0.0]))
+
+    def test_non_finite_and_empty_queries(self):
+        ps = PointSet3(points=[(1.0, 0.0, 0.0)], generator=((0.0, 0.0, 2.0), 0.5))
+        for bad in ((math.nan, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ps.contains(np.array([(1.0, 0.0, 0.0), bad]))
+        empty = ps.contains(np.empty((0, 3)))
+        assert isinstance(empty, np.ndarray) and empty.dtype == bool and empty.shape == (0,)
+
+    def test_one_axis_worst_case_stays_small(self):
+        # every stored point has x = 1, so every query's candidates are all
+        # 20,000 of them: 40M pairs, which must be taken a chunk at a time
+        rng = np.random.default_rng(4)
+        ps = PointSet3(points=np.column_stack([np.ones(20000), rng.uniform(-1, 1, (20000, 2))]),
+                       tol=2e-3)
+        x = np.column_stack([1.0 + rng.uniform(-1e-3, 1e-3, 2000),
+                             rng.uniform(-1.0, 1.0, (2000, 2))])
+        got = []
+        peak = _traced_peak(lambda: got.append(ps.contains(x)))
+        assert peak < 16 * 2 ** 20
+        assert 0 < _assert_agrees_with_tree(ps, x, got[0]) < len(x)
+
+
 class TestCollisionRegionIteration:
     def test_quadratic_ball_grows_beyond_its_radius(self, d_quad):
         seed = PointSet3(generator=((1.0, 0.0, 0.0), 0.3))
@@ -419,6 +510,17 @@ class TestMonteCarloStreams:
 
     def test_vcone_mc_is_frozen(self):
         assert vcone_mc(2.0, 1.5, seed=2) == (4.220625010342768, 0.017579876715528398)
+
+    def test_vcone_mc_cases_share_one_draw(self):
+        # every case's estimate is its own call's, bit for bit
+        radii, rhos = [2.0, 1.0, 0.5, 3.0], [1.5, 0.0, 0.5, 2.9]
+        got = vcone_mc(radii, rhos, seed=2)
+        assert got == [vcone_mc(R, rho, seed=2) for R, rho in zip(radii, rhos)]
+        assert got[0] == (4.220625010342768, 0.017579876715528398)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            vcone_mc([1.0, 1.0], [0.5, 1.5])
+        with pytest.raises(ValueError):
+            vcone_mc([1.0, 2.0], [0.5])
 
     def test_cap_coverage_mc_is_frozen(self):
         got = cap_coverage_mc(0.1, 44, n_experiments=60, seed=1)
